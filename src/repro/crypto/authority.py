@@ -14,7 +14,6 @@ any certificate with the single well-known authority public key
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -233,7 +232,8 @@ class TrustedAuthorityNetwork:
         self._rng = rng
         self.root_keypair: KeyPair = generate_keypair(rng)
         self.authorities: dict[str, TrustedAuthority] = {}
-        self._serials = itertools.count(1)
+        #: next certificate serial (a plain int so snapshots pickle it)
+        self._next_serial = 1
         #: cluster id -> TA id responsible for it
         self._region_of: dict[str, str] = {}
         #: optional observability hub (a :class:`repro.obs.Observability`);
@@ -272,7 +272,9 @@ class TrustedAuthorityNetwork:
 
     def next_serial(self) -> int:
         """Network-unique certificate serial numbers."""
-        return next(self._serials)
+        serial = self._next_serial
+        self._next_serial = serial + 1
+        return serial
 
     def propagate_revocation(self, entry) -> None:
         """Deliver a revocation entry to every TA node (paper: the TA

@@ -21,10 +21,10 @@ The contract
   execution, where a genuine (deterministic) exception surfaces with a
   clean traceback instead of a ``BrokenProcessPool``.
 - With ``cache_dir`` set, results are stored content-addressed under a
-  stable hash of the full ``TrialConfig`` (seed included); re-runs and
-  report regeneration skip already-computed trials.  The cache is
-  keyed by *configuration*, not code — discard it when the simulation
-  code changes (see ``docs/performance.md``).
+  stable hash of the full ``TrialConfig`` (seed included) and of the
+  ``repro`` sources; re-runs and report regeneration skip
+  already-computed trials, and a code change misses instead of serving
+  stale results (see ``docs/performance.md``).
 
 Workers are warm-started by an initializer that pre-imports the trial
 machinery and touches the Table I world configuration, so the first
@@ -35,6 +35,7 @@ timed region.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -205,8 +206,27 @@ def _canonical(value) -> object:
     return repr(value)  # opaque policy objects: best-effort stable form
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the path and bytes of every ``repro`` source file.
+
+    Computed on first use and memoized for the process, so runs that
+    never build a cache key (no result cache, no campaign ledger) never
+    read the sources.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def trial_cache_key(config: TrialConfig) -> str:
-    """Stable content hash of one trial's full configuration + seed.
+    """Stable content hash of one trial's full configuration + seed and
+    of the simulation code (:func:`source_digest`).
 
     Observability switches are excluded: they do not alter the
     simulation outcome, and summaries never carry their payloads.
@@ -215,6 +235,7 @@ def trial_cache_key(config: TrialConfig) -> str:
     for obs_only in ("metrics", "trace", "profile", "sample_interval"):
         payload.pop(obs_only, None)
     payload["schema"] = CACHE_SCHEMA
+    payload["code"] = source_digest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

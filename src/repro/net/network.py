@@ -9,10 +9,13 @@ Deliveries are scheduled events: a packet sent at *t* arrives at
 *t + per_hop_delay + jitter*.  Reachability is evaluated at send time;
 with millisecond latencies and highway speeds the position drift within
 one hop is millimetres, so this is exact for all practical purposes.
-Broadcast fan-out is batched (``ChannelConfig.batch_broadcast``): all
-receivers sharing an arrival time ride one event carrying the frozen
-receiver list, invoked in exactly the order per-receiver events would
-have fired — see ``docs/performance.md`` for the ordering argument.
+Broadcast fan-out is batched (``ChannelConfig.batch_broadcast``):
+receivers sharing an arrival time form one *leg*, and a broadcast with
+several legs rides a *delivery train* — one event that fires once per
+leg, with only the next leg in the heap.  Receivers are invoked in
+exactly the order per-receiver events would have fired; see
+``docs/performance.md`` ("Broadcast delivery trains") for the ordering
+argument.
 
 The backbone is a :mod:`networkx` graph over RSU addresses; packets
 between connected RSUs take ``wired_hop_delay`` per backbone hop and
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from operator import add
 from typing import Callable
 
 import networkx as nx
@@ -70,12 +75,12 @@ class ChannelConfig:
         ``net.packet.interned`` gauge tracks wire-level duplication.
         Off by default: accounting alone does not need the table.
     batch_broadcast:
-        When True (default) a broadcast schedules one delivery event
-        per distinct arrival time carrying the frozen receiver list,
-        instead of one event per receiver.  Receivers are invoked in
-        exactly the order the per-receiver events would have fired;
-        the switch exists for A/B benchmarking and the golden-trace
-        equivalence test.
+        When True (default) a broadcast groups its receivers by arrival
+        time into legs and schedules them as one delivery train (one
+        event per broadcast, re-queued leg by leg) instead of one event
+        per receiver.  Receivers are invoked in exactly the order the
+        per-receiver events would have fired; the switch exists for A/B
+        benchmarking and the golden-trace equivalence test.
     spatial_index:
         When True (default) neighbour queries and broadcast fan-out are
         served by a uniform-grid :class:`~repro.net.spatial.SpatialIndex`
@@ -110,6 +115,44 @@ class ChannelConfig:
             raise ValueError("delays must be non-negative")
         if self.spatial_guard_band <= 0 or self.spatial_max_speed <= 0:
             raise ValueError("spatial guard band and max speed must be positive")
+
+
+class _Train:
+    """The delivery legs of one broadcast still to fire.
+
+    ``groups`` maps each leg's delay to its receivers.  ``delay`` names
+    the leg filed in the heap under ``event``; ``order`` holds the later
+    legs' delays, latest first, so ``order.pop()`` yields the next one.
+    A leg arrives at ``sent + delay``.
+    """
+
+    __slots__ = (
+        "event",
+        "groups",
+        "order",
+        "delay",
+        "sent",
+        "packet",
+        "sender_address",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        groups: dict,
+        order: list,
+        delay: float,
+        sent: float,
+        packet: Packet,
+        sender_address: str,
+    ) -> None:
+        self.event = None
+        self.groups = groups
+        self.order = order
+        self.delay = delay
+        self.sent = sent
+        self.packet = packet
+        self.sender_address = sender_address
 
 
 @dataclass
@@ -446,22 +489,36 @@ class Network:
     def _broadcast_batched(
         self, sender: Node, receivers: list[Node], packet: Packet
     ) -> None:
-        """Fan a broadcast out as one event per distinct arrival time.
+        """Fan a broadcast out as one leg per distinct arrival time.
 
         Per-receiver loss and jitter draws happen here, at send time, in
         receiver order — exactly the draws (and RNG stream order) the
         per-receiver path makes.  Receivers that land on the same delay
-        are frozen into one tuple and invoked in that order by a single
-        event; because the per-receiver path would have scheduled them
-        with consecutive sequence numbers, no foreign event can sort
-        between them, so the merged callback order is identical.
+        form one leg, invoked in receiver order; the per-receiver path
+        would have given them consecutive sequence numbers, so no
+        foreign event can sort between them.  A leg of one receiver is
+        kept as the bare node: a list per pending leg would give the
+        cycle collector tens of thousands of objects to scan at every
+        dense beacon instant.
+
+        A single leg is one pooled delivery event.  Several legs ride a
+        :class:`_Train`: legs sorted by arrival (first occurrence breaks
+        ties), the first filed through ``push_delivery``, the rest
+        counted by :meth:`EventQueue.defer
+        <repro.sim.events.EventQueue.defer>` and filed one at a time by
+        :meth:`_arrive_train`.  The broadcast still draws one sequence
+        number per leg, a consecutive block no other event can fall
+        into, so the heap orders every leg against every other event
+        exactly as it would the per-leg events.
         """
         config = self.config
         rng = self._rng
         loss_rate = config.loss_rate
         base_delay = config.per_hop_delay
         jitter = config.jitter
-        groups: dict[float, list[Node]] = {}
+        # delay -> the receiver drawing it, or the list of receivers
+        # once several draw it (no list for the usual singleton)
+        groups: dict[float, Node | list[Node]] = {}
         for receiver in receivers:
             if loss_rate and rng.random() < loss_rate:
                 self.stats.dropped_loss += 1
@@ -470,9 +527,13 @@ class Network:
             delay = base_delay + rng.random() * jitter if jitter else base_delay
             bucket = groups.get(delay)
             if bucket is None:
-                groups[delay] = [receiver]
-            else:
+                groups[delay] = receiver
+            elif bucket.__class__ is list:
                 bucket.append(receiver)
+            else:
+                groups[delay] = [bucket, receiver]
+        if not groups:
+            return
         sender_address = packet.src or sender.address
         labels = Network._deliver_labels
         kind = packet.kind
@@ -481,20 +542,47 @@ class Network:
             label = labels[kind] = f"deliver {kind}"
         sim = self.sim
         now = sim.now
-        push_delivery = sim.queue.push_delivery
-        pool = sim.pool_events
-        arrive_batch = self._arrive_batch
-        for delay, batch in groups.items():
-            push_delivery(
+        queue = sim.queue
+        if len(groups) == 1:
+            ((delay, batch),) = groups.items()
+            batch = tuple(batch) if batch.__class__ is list else (batch,)
+            queue.push_delivery(
                 now + delay,
-                arrive_batch,
-                (tuple(batch), packet, sender_address),
+                self._arrive_batch,
+                (batch, packet, sender_address),
                 label,
-                pool,
+                sim.pool_events,
             )
+            return
+        # Stable sort on arrival time: ties keep first-occurrence order.
+        order = sorted(groups, key=partial(add, now))
+        order.reverse()
+        first = order.pop()
+        train = _Train(groups, order, first, now, packet, sender_address)
+        # Not pooled: the event outlives each dispatch until its last leg.
+        train.event = queue.push_delivery(
+            now + first, self._arrive_train, (train,), label, False
+        )
+        queue.defer(len(order))
+
+    def _arrive_train(self, train: _Train) -> None:
+        # Re-queue the following leg *before* delivering: handlers then
+        # see every later leg pending (and a raising handler leaves them
+        # queued).  The last leg drops the train's reference to its
+        # event, so the finished pair is freed without the cycle GC.
+        receivers = train.groups[train.delay]
+        order = train.order
+        if order:
+            delay = train.delay = order.pop()
+            self.sim.queue.requeue(train.event, train.sent + delay)
+        else:
+            train.event = None
+        if receivers.__class__ is not list:
+            receivers = (receivers,)
+        self._arrive_batch(receivers, train.packet, train.sender_address)
 
     def _arrive_batch(
-        self, receivers: tuple, packet: Packet, sender_address: str
+        self, receivers: tuple | list, packet: Packet, sender_address: str
     ) -> None:
         # Inlined _arrive with the per-packet lookups hoisted: one stats
         # object, one counter resolution and one trace check for the

@@ -34,6 +34,24 @@ from typing import ClassVar
 _packet_ids = itertools.count(1)
 
 
+def packet_id_position() -> int:
+    """The uid the next packet will draw, without using it up.
+
+    Snapshots record this integer instead of pickling the counter
+    (pickling ``itertools`` objects is deprecated since Python 3.12).
+    """
+    global _packet_ids
+    position = next(_packet_ids)
+    _packet_ids = itertools.count(position)
+    return position
+
+
+def set_packet_id_position(position: int) -> None:
+    """Make ``position`` the uid the next packet draws."""
+    global _packet_ids
+    _packet_ids = itertools.count(position)
+
+
 @dataclass(slots=True)
 class Packet:
     """Base class for all simulated messages.

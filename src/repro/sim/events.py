@@ -44,11 +44,25 @@ generation is a no-op.  Pooling changes no ordering: sequence numbers
 are drawn from the same counter whether an event comes from the
 freelist or the allocator (``tests/test_packetpath_equivalence.py``
 pins byte-identical traces with the pool on and off).
+
+Deferred legs
+-------------
+A broadcast's delivery *train* (:mod:`repro.net.network`) is one event
+that fires once per leg: only the next leg sits in the heap, and the
+rest wait inside the train.  The queue still counts every deferred leg
+as pending — in ``len()``, :attr:`~EventQueue.high_water`,
+:attr:`~EventQueue.stored` and :attr:`~EventQueue.cancelled_fraction` —
+so every gauge and the compaction trigger read exactly as if each leg
+had its own heap entry.  :meth:`EventQueue.defer` reserves the legs'
+sequence numbers and counts them; :meth:`EventQueue.requeue` files the
+next one when the previous leg fires.
+
+The sequence counter is a plain ``int``, so snapshots pickle it as the
+next number to hand out.
 """
 
 from __future__ import annotations
 
-import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
@@ -183,8 +197,12 @@ class EventQueue:
         pool_max_free: int = POOL_MAX_FREE,
     ) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
-        self._counter = itertools.count()
+        #: next sequence number to hand out
+        self._sequence = 0
+        #: pending live events, deferred train legs included
         self._live = 0
+        #: train legs held outside the heap (counted in ``_live``)
+        self._deferred = 0
         self.wheel = wheel
         #: number of times the queue rebuilt itself to shed corpses
         self.compactions = 0
@@ -241,16 +259,18 @@ class EventQueue:
             self.pool_reused += 1
             event.time = time
             event.priority = priority
-            event.sequence = sequence = next(self._counter)
+            event.sequence = sequence = self._sequence
+            self._sequence = sequence + 1
             event.action = action
             event.args = args
             event.label = label
             event.cancelled = False
             event.generation += 1
         else:
-            event = Event(time, priority, next(self._counter), action, args, label)
+            sequence = self._sequence
+            self._sequence = sequence + 1
+            event = Event(time, priority, sequence, action, args, label)
             event.pooled = pooled
-            sequence = event.sequence
         event._queue = self
         if not (wheel and self.wheel is not None and self.wheel.insert(event)):
             heappush(self._heap, (time, priority, sequence, event))
@@ -283,22 +303,49 @@ class EventQueue:
             self.pool_reused += 1
             event.time = time
             event.priority = PRIORITY_NORMAL
-            event.sequence = sequence = next(self._counter)
+            event.sequence = sequence = self._sequence
+            self._sequence = sequence + 1
             event.action = action
             event.args = args
             event.label = label
             event.cancelled = False
             event.generation += 1
         else:
-            event = Event(time, PRIORITY_NORMAL, next(self._counter), action, args, label)
+            sequence = self._sequence
+            self._sequence = sequence + 1
+            event = Event(time, PRIORITY_NORMAL, sequence, action, args, label)
             event.pooled = pooled
-            sequence = event.sequence
         event._queue = self
         heappush(self._heap, (time, PRIORITY_NORMAL, sequence, event))
         live = self._live = self._live + 1
         if live > self.high_water:
             self.high_water = live
         return event
+
+    def defer(self, legs: int) -> None:
+        """Count ``legs`` train legs held outside the heap as pending.
+
+        Called right after :meth:`push_delivery` filed a train's first
+        leg: reserves the sequence numbers that follow it, one per
+        deferred leg, and counts the legs as live and stored, so the
+        queue reads exactly as if every leg had been pushed on its own.
+        """
+        self._sequence += legs
+        self._deferred += legs
+        live = self._live = self._live + legs
+        if live > self.high_water:
+            self.high_water = live
+
+    def requeue(self, event: Event, time: float) -> None:
+        """File a train's next deferred leg: ``event`` (the train's
+        event, just fired) re-enters the heap at ``time`` under the next
+        reserved sequence number.  The leg was already counted as live
+        by :meth:`defer`, so only the deferred count moves."""
+        sequence = event.sequence = event.sequence + 1
+        event.time = time
+        event._queue = self
+        heappush(self._heap, (time, PRIORITY_NORMAL, sequence, event))
+        self._deferred -= 1
 
     def recycle(self, event: Event) -> None:
         """Hand a dispatched pooled event back to the freelist.
@@ -325,9 +372,14 @@ class EventQueue:
     # ------------------------------------------------------------------
     @property
     def stored(self) -> int:
-        """Entries physically held: live plus lazily-cancelled corpses."""
+        """Entries held: live plus lazily-cancelled corpses, with each
+        deferred train leg counted as the heap entry it stands for."""
         wheel = self.wheel
-        return len(self._heap) + (wheel.stored if wheel is not None else 0)
+        return (
+            len(self._heap)
+            + self._deferred
+            + (wheel.stored if wheel is not None else 0)
+        )
 
     @property
     def cancelled_fraction(self) -> float:
@@ -438,11 +490,18 @@ class EventQueue:
             return heap[0][0]
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event.
+
+        Dropped events are detached from the queue, so cancelling a
+        stale handle afterwards no longer moves the live count.
+        """
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         if self.wheel is not None:
             self.wheel.clear()
         self._live = 0
+        self._deferred = 0
 
     # ------------------------------------------------------------------
     # Snapshots

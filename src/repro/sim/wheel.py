@@ -29,6 +29,7 @@ entries cancelled while still in a bucket).
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappush
 from typing import TYPE_CHECKING
 
@@ -245,8 +246,12 @@ class TimerWheel:
         return removed
 
     def clear(self) -> None:
-        """Drop every filed entry; the frontier stays where it is."""
-        for bucket in self._slots:
+        """Drop every filed entry, detached from its queue (a stale
+        handle's ``cancel()`` is then a no-op); the frontier stays where
+        it is."""
+        for bucket in itertools.chain(self._slots, self._far.values()):
+            for event in bucket:
+                event._queue = None
             bucket.clear()
         self._far.clear()
         self._near_count = 0

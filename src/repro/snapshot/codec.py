@@ -21,9 +21,12 @@ lacks: versioning, integrity checking, and inspectable metadata.
 
 Schema history
 --------------
-1: initial format (PR 5).  Bump whenever the shape of pickled world
+1: initial format.  Bump whenever the shape of pickled world
    state changes incompatibly; old snapshots are then *rejected* with
    :class:`SnapshotSchemaError` instead of deserializing garbage.
+2: no ``itertools`` counters in the payload: the event queue's sequence
+   counter, the certificate serial counter and the packet-uid position
+   are plain integers; event queues count deferred delivery-train legs.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

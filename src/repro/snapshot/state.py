@@ -13,7 +13,8 @@ Process-global counters
 -----------------------
 Two module-level allocators feed monotonic ids into packets and
 synthetic revocation serials.  They are *process* state, not world
-state, so a snapshot records their position and ``restore`` rewinds
+state, so a snapshot records their position (the packet allocator as
+the next uid it will hand out) and ``restore`` rewinds
 them — otherwise a resumed run would draw different packet uids than
 the uninterrupted run it must match.  Rewinding globals makes restore a
 process-wide operation: run one restored world at a time per process
@@ -35,7 +36,7 @@ def capture_globals() -> dict[str, Any]:
     import repro.net.packets as packets
 
     return {
-        "net.packet_ids": packets._packet_ids,
+        "net.packet_ids": packets.packet_id_position(),
         "core.synthetic_serials": examiner._synthetic_serials,
         "net.frozen_counters": frozen.capture_counters(),
     }
@@ -53,7 +54,7 @@ def apply_globals(captured: dict[str, Any]) -> None:
     import repro.net.packets as packets
 
     if "net.packet_ids" in captured:
-        packets._packet_ids = captured["net.packet_ids"]
+        packets.set_packet_id_position(captured["net.packet_ids"])
     if "core.synthetic_serials" in captured:
         examiner._synthetic_serials = captured["core.synthetic_serials"]
     if "net.frozen_counters" in captured:

@@ -90,6 +90,17 @@ def test_cache_key_stable_and_distinct():
     assert trial_cache_key(a) != trial_cache_key(other_attack)
 
 
+def test_cache_key_covers_the_source_digest(monkeypatch):
+    import repro.experiments.executor as executor_module
+
+    config = small_configs(1)[0]
+    assert len(executor_module.source_digest()) == 64
+    assert executor_module.source_digest() is executor_module.source_digest()
+    current = trial_cache_key(config)
+    monkeypatch.setattr(executor_module, "source_digest", lambda: "0" * 64)
+    assert trial_cache_key(config) != current
+
+
 def test_cache_key_ignores_observability_switches():
     base = small_configs(1)[0]
     instrumented = TrialConfig(

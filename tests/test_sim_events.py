@@ -96,6 +96,18 @@ def test_clear_empties_wheel_backed_queue():
     assert q.pop() is None
 
 
+def test_cancel_after_clear_keeps_live_count():
+    q = EventQueue(wheel=TimerWheel())
+    stale = [q.push(1.0, lambda: None), q.push(2.0, lambda: None, wheel=True)]
+    q.clear()
+    for event in stale:
+        event.cancel()
+    assert len(q) == 0
+    q.push(3.0, lambda: None)
+    assert len(q) == 1
+    assert q.pop() is not None
+
+
 def test_event_args_passed_to_action():
     q = EventQueue()
     hits = []

@@ -117,6 +117,22 @@ def test_uncompressed_snapshot_round_trips():
     assert restore(blob).sim.now == 0.4
 
 
+def test_mid_trial_snapshot_pickles_no_itertools_objects():
+    """Counters are pickled as their next integer: pickling itertools
+    objects is deprecated since Python 3.12 and gone in 3.14."""
+    from repro.experiments.config import ATTACK_SINGLE, TrialConfig
+    from repro.experiments.trial import begin_trial
+
+    session = begin_trial(
+        TrialConfig(seed=7, attack=ATTACK_SINGLE, attacker_cluster=5)
+    )
+    session.run_to(4.0)
+    blob = snapshot(session, compress=False)
+    assert b"itertools" not in blob
+    resumed = restore(blob)
+    assert resumed.world.sim.queue._sequence == session.world.sim.queue._sequence
+
+
 # ----------------------------------------------------------------------
 # Digest and fork independence
 # ----------------------------------------------------------------------
