@@ -17,8 +17,10 @@ budget, writes nothing)::
 
     PYTHONPATH=src python benchmarks/bench_spatial.py --smoke
 
-The sweep also cross-checks every query's result against the brute-force
-oracle on a sampled round (``--verify-all`` checks every round).
+The brute-force arm times :func:`brute_neighbors`, an O(N) scan over
+the same network.  The sweep also cross-checks every grid query's
+result against it on a sampled round (``--verify-all`` checks every
+round).
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import platform
 import sys
 import time
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.mobility import VehicleMotion  # noqa: E402
-from repro.net import ChannelConfig, Network, Node  # noqa: E402
+from repro.net import Network, Node  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 
 #: Highway geometry: Table I strip (10 km x 200 m); a 500 m DSRC radio
@@ -62,9 +65,9 @@ class BenchVehicle(Node):
         return self.motion.speed_at(self.sim.now)
 
 
-def build_population(n: int, *, spatial: bool) -> tuple[Simulator, Network]:
+def build_population(n: int) -> tuple[Simulator, Network]:
     sim = Simulator(seed=42)
-    net = Network(sim, ChannelConfig(spatial_index=spatial))
+    net = Network(sim)
     rng = sim.rng("bench-placement")
     for i in range(n):
         motion = VehicleMotion(
@@ -78,6 +81,7 @@ def build_population(n: int, *, spatial: bool) -> tuple[Simulator, Network]:
 
 
 def brute_neighbors(net: Network, node: Node) -> list[Node]:
+    """Every attached node in range, in attach order: the O(N) scan."""
     return [other for other in net.nodes if net._pair_in_range(node, other)]
 
 
@@ -88,7 +92,8 @@ def run_sweep(
 
     Returns (wall_seconds, total_neighbor_links, rebuilds).
     """
-    sim, net = build_population(n, spatial=spatial)
+    sim, net = build_population(n)
+    neighbors = net.neighbors if spatial else partial(brute_neighbors, net)
     links = 0
     elapsed = 0.0
     for round_index in range(rounds):
@@ -97,7 +102,7 @@ def run_sweep(
         sim.run(until=(round_index + 1) * 0.5)
         started = time.perf_counter()
         for node in net.nodes:
-            links += len(net.neighbors(node))
+            links += len(neighbors(node))
         elapsed += time.perf_counter() - started
         if round_index in verify_rounds and spatial:
             for node in net.nodes:
@@ -108,8 +113,7 @@ def run_sweep(
                         f"grid/brute divergence: n={n} round={round_index} "
                         f"node={node.node_id}: {len(got)} vs {len(expected)}"
                     )
-    rebuilds = net.spatial.rebuilds if net.spatial is not None else 0
-    return elapsed, links, rebuilds
+    return elapsed, links, net.spatial.rebuilds
 
 
 def bench_point(n: int, rounds: int, *, verify_all: bool) -> dict:

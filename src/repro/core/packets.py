@@ -8,8 +8,7 @@ Layering contract (see :mod:`repro.net.packets`): this module owns the
 detection-layer packet *definitions* only.  Wire field order is defined
 once, in the codec registry (:mod:`repro.net.codec`) — changing or
 adding a field here requires updating the matching encoder/decoder
-there, and nothing else; the flyweight decode path
-(:mod:`repro.net.frozen`) picks the change up automatically.
+there, and nothing else.
 """
 
 from __future__ import annotations

@@ -142,8 +142,8 @@ class TrialConfig:
     #: sample the metrics registry into per-metric time series at this
     #: virtual-time cadence (seconds); 0 disables.  Implies ``metrics``.
     sample_interval: float = 0.0
-    #: channel override (None = defaults); used e.g. to A/B the spatial
-    #: neighbour index (``ChannelConfig(spatial_index=False)``)
+    #: channel override (None = defaults): delays, jitter, loss, byte
+    #: accounting and the neighbour index's guard band
     channel: ChannelConfig | None = None
 
     def __post_init__(self) -> None:

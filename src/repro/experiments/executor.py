@@ -56,7 +56,9 @@ from repro.experiments.progress import ProgressEvent
 #: 3: zero-allocation packet path landed.
 #: 4: arena fields (``detector``, ``time_to_isolation``, overhead
 #:    counters) joined :class:`TrialSummary`.
-CACHE_SCHEMA = 4
+#: 5: ChannelConfig lost ``intern_wire``, ``batch_broadcast`` and
+#:    ``spatial_index``.
+CACHE_SCHEMA = 5
 
 #: Shard count for the JSONL cache (single hex digit of the key).
 _CACHE_SHARDS = 16

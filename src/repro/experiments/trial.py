@@ -349,13 +349,15 @@ class TrialSession:
             ),
             policy_name=self.policy_name,
         )
-        result.attacker_addresses = set(self.attacker_addresses)
+        addresses = set(self.attacker_addresses)
         # Attackers may have renewed pseudonyms during the trial.
         for attacker in self.attackers:
-            result.attacker_addresses.add(attacker.address)
-            result.attacker_addresses.update(
-                getattr(attacker, "addresses_used", ())
-            )
+            addresses.add(attacker.address)
+            addresses.update(getattr(attacker, "addresses_used", ()))
+        # Rebuilt in sorted order: a set's iteration order depends on its
+        # insertion history, which unpickling a snapshot does not keep,
+        # and a restored trial must pickle to the same bytes.
+        result.attacker_addresses = set(sorted(addresses))
         result.honest_addresses = {
             vehicle.address
             for vehicle in self.background + [self.source, self.destination]

@@ -13,7 +13,9 @@ Public API
 - :class:`~repro.net.node.Node` -- base class for vehicles and RSUs.
 - :class:`~repro.net.network.Network` -- the radio medium + backbone.
 - :class:`~repro.net.spatial.SpatialIndex` -- uniform-grid neighbour
-  index serving the broadcast hot path (``ChannelConfig.spatial_index``).
+  index serving every neighbour query and the broadcast hot path.
+- :mod:`~repro.net.codec` -- the versioned binary wire format behind
+  byte accounting (``ChannelConfig.account_bytes``).
 """
 
 from repro.net.network import BROADCAST, ChannelConfig, Network, NetworkStats

@@ -18,9 +18,6 @@ field costs one flag byte.
 This module is the **single source of truth for field order**: every
 body starts with the common ``src``/``dst`` strings (written by
 ``_common``) followed by type-specific fields in registration order.
-The flyweight layer (:mod:`repro.net.frozen`) never re-declares the
-layout — it peeks headers through :func:`peek_tag` /
-:func:`peek_addresses` and defers everything else to :func:`decode`.
 """
 
 from __future__ import annotations
@@ -567,54 +564,6 @@ def decode(data: bytes) -> Packet:
     packet.size_bytes = len(data)
     packet._wire_size = len(data)
     return packet
-
-
-#: Fixed 4-byte prefix every wire packet starts with.
-_HEADER = struct.Struct(">HBB")
-HEADER_SIZE = _HEADER.size
-
-
-def peek_tag(data: bytes) -> int:
-    """Validate the 4-byte header and return the type tag.
-
-    The cheap entry point for flyweights: no body bytes are touched.
-    Raises :class:`CodecError` on truncation, bad magic, an unsupported
-    version, or an unregistered tag — exactly the rejections
-    :func:`decode` would make.
-    """
-    if len(data) < HEADER_SIZE:
-        raise CodecError("truncated packet")
-    magic, version, tag = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise CodecError("bad magic")
-    if version != _VERSION:
-        raise CodecError(f"unsupported codec version {version}")
-    if tag not in _REGISTRY:
-        raise CodecError(f"unknown packet type tag {tag}")
-    return tag
-
-
-def packet_class(tag: int) -> type:
-    """Packet class registered under ``tag`` (raises on unknown tags)."""
-    entry = _REGISTRY.get(tag)
-    if entry is None:
-        raise CodecError(f"unknown packet type tag {tag}")
-    return entry[0]
-
-
-def peek_addresses(data: bytes) -> tuple[str, str]:
-    """Decode only the common ``(src, dst)`` strings after the header.
-
-    Every registered body begins with these two fields (``_common``),
-    so flyweights can answer address queries without a full decode.
-    """
-    peek_tag(data)
-    reader = _Reader(data)
-    reader._offset = HEADER_SIZE
-    try:
-        return reader.string(), reader.string()
-    except (UnicodeDecodeError, struct.error) as error:
-        raise CodecError(f"malformed packet header: {error}") from error
 
 
 def wire_size(packet: Packet) -> int:

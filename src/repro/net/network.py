@@ -9,13 +9,13 @@ Deliveries are scheduled events: a packet sent at *t* arrives at
 *t + per_hop_delay + jitter*.  Reachability is evaluated at send time;
 with millisecond latencies and highway speeds the position drift within
 one hop is millimetres, so this is exact for all practical purposes.
-Broadcast fan-out is batched (``ChannelConfig.batch_broadcast``):
-receivers sharing an arrival time form one *leg*, and a broadcast with
-several legs rides a *delivery train* — one event that fires once per
-leg, with only the next leg in the heap.  Receivers are invoked in
-exactly the order per-receiver events would have fired; see
-``docs/performance.md`` ("Broadcast delivery trains") for the ordering
-argument.
+Broadcast fan-out is batched: receivers sharing an arrival time form one
+*leg*, and a broadcast with several legs rides a *delivery train* — one
+event that fires once per leg, with only the next leg in the heap.
+Receivers are invoked in exactly the order per-receiver events would
+have fired; see ``docs/performance.md`` ("Broadcast delivery trains")
+for the ordering argument.  Monitor overhearing is batched the same
+way: one event per transmission carries every in-range monitor.
 
 The backbone is a :mod:`networkx` graph over RSU addresses; packets
 between connected RSUs take ``wired_hop_delay`` per backbone hop and
@@ -23,10 +23,11 @@ ignore radio range entirely.
 
 Neighbour queries (broadcast fan-out, ``neighbors()``, monitor
 overhearing, and the unicast range check) are served by an epoch-based
-uniform-grid index (:mod:`repro.net.spatial`) when
-``ChannelConfig.spatial_index`` is on — identical results to the
-brute-force scan, at O(nearby cells) per query instead of O(N).  See
-``docs/performance.md``.
+uniform-grid index (:mod:`repro.net.spatial`) — identical results to
+the brute-force scan, at O(nearby cells) per query instead of O(N).
+The per-receiver and brute-force reference paths live with the tests
+(``tests/helpers.py``), which pin seeded runs byte-identical against
+them.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -67,29 +68,11 @@ class ChannelConfig:
         binary wire codec and per-kind byte totals are accumulated in
         the stats (one encode per packet *instance* — the size is
         memoised by :func:`repro.net.codec.wire_size`; off by default).
-    intern_wire:
-        When True (requires ``account_bytes``), each packet's first
-        encode is also interned through :func:`repro.net.frozen.freeze`,
-        so identical transmissions share one
-        :class:`~repro.net.frozen.FrozenPacket` and the
-        ``net.packet.interned`` gauge tracks wire-level duplication.
-        Off by default: accounting alone does not need the table.
-    batch_broadcast:
-        When True (default) a broadcast groups its receivers by arrival
-        time into legs and schedules them as one delivery train (one
-        event per broadcast, re-queued leg by leg) instead of one event
-        per receiver.  Receivers are invoked in exactly the order the
-        per-receiver events would have fired; the switch exists for A/B
-        benchmarking and the golden-trace equivalence test.
-    spatial_index:
-        When True (default) neighbour queries and broadcast fan-out are
-        served by a uniform-grid :class:`~repro.net.spatial.SpatialIndex`
-        instead of an O(N) scan.  Results are identical either way; the
-        switch exists for A/B benchmarking and as an escape hatch.
     spatial_guard_band:
-        Metres of kinematic drift the index absorbs between rebuilds;
-        queries widen by this much and the snapshot validity window is
-        ``guard_band / spatial_max_speed`` seconds.
+        Metres of kinematic drift the neighbour index
+        (:class:`~repro.net.spatial.SpatialIndex`) absorbs between
+        rebuilds; queries widen by this much and the snapshot validity
+        window is ``guard_band / spatial_max_speed`` seconds.
     spatial_max_speed:
         Top speed (m/s) the index derives its rebuild epoch from.  A
         correctness contract: no simulated object may move faster
@@ -102,9 +85,6 @@ class ChannelConfig:
     loss_rate: float = 0.0
     wired_hop_delay: float = 0.001
     account_bytes: bool = False
-    intern_wire: bool = False
-    batch_broadcast: bool = True
-    spatial_index: bool = True
     spatial_guard_band: float = 50.0
     spatial_max_speed: float = 75.0
 
@@ -195,20 +175,12 @@ class Network:
         #: promiscuous listeners: (node, callback) pairs that overhear
         #: every radio transmission within the node's range
         self._monitors: list[tuple[Node, Callable]] = []
-        #: omniscient taps: ``tap(packet, transport)`` fires on every
-        #: transmission, radio ("air") and backbone ("wire") alike —
-        #: instrumentation for tracing, not a protocol-visible channel
-        self.taps: list[Callable[[Packet, str], None]] = []
-        #: uniform-grid neighbour index (None when disabled by config);
-        #: serves broadcast fan-out, neighbors() and in_range rejection
-        self.spatial: SpatialIndex | None = (
-            SpatialIndex(
-                self,
-                guard_band=self.config.spatial_guard_band,
-                max_speed=self.config.spatial_max_speed,
-            )
-            if self.config.spatial_index
-            else None
+        #: uniform-grid neighbour index; serves broadcast fan-out,
+        #: neighbors() and in_range rejection
+        self.spatial = SpatialIndex(
+            self,
+            guard_band=self.config.spatial_guard_band,
+            max_speed=self.config.spatial_max_speed,
         )
 
     # ------------------------------------------------------------------
@@ -221,8 +193,7 @@ class Network:
         node.network = self
         self._by_address[node.address] = node
         self.nodes.append(node)
-        if self.spatial is not None:
-            self.spatial.add(node)
+        self.spatial.add(node)
 
     def detach(self, node: Node) -> None:
         """Remove a node (e.g. a vehicle leaving the highway).
@@ -243,8 +214,7 @@ class Network:
         if node in self.nodes:
             self.nodes.remove(node)
         self.remove_monitor(node)
-        if self.spatial is not None:
-            self.spatial.remove(node)
+        self.spatial.remove(node)
         node.network = None
 
     def readdress(self, node: Node, old_address: str) -> None:
@@ -263,8 +233,7 @@ class Network:
 
     def note_moved(self, node: Node) -> None:
         """Re-index a node after an explicit ``set_position`` teleport."""
-        if self.spatial is not None:
-            self.spatial.move(node)
+        self.spatial.move(node)
 
     def node_at(self, address: str) -> Node | None:
         """Node currently holding ``address``, if attached."""
@@ -300,12 +269,12 @@ class Network:
     def in_range(self, a: Node, b: Node) -> bool:
         """Bidirectional unit-disk reachability.
 
-        With the spatial index enabled, pairs whose snapshot cells are
-        provably too far apart are rejected without computing a
-        distance; the exact predicate decides everything else, so the
-        result is identical to the brute-force check.
+        Pairs whose snapshot cells in the spatial index are provably too
+        far apart are rejected without computing a distance; the exact
+        predicate decides everything else, so the result is identical to
+        the brute-force check.
         """
-        if self.spatial is not None and not self.spatial.maybe_in_range(a, b):
+        if not self.spatial.maybe_in_range(a, b):
             return False
         return self._pair_in_range(a, b)
 
@@ -316,12 +285,10 @@ class Network:
         paper assumes ("nodes can perform secure neighbor discovery by
         mutual authentication when two nodes are within the transmission
         range of each other"); only attached, in-range nodes appear, in
-        attach order.  Served by the grid index when enabled (identical
-        result, O(nearby cells) instead of O(N)).
+        attach order.  Served by the grid index (the brute-force scan's
+        result, at O(nearby cells) instead of O(N)).
         """
-        if self.spatial is not None:
-            return self.spatial.neighbors(node)
-        return [other for other in self.nodes if self._pair_in_range(node, other)]
+        return self.spatial.neighbors(node)
 
     # ------------------------------------------------------------------
     # Radio transmission
@@ -340,13 +307,6 @@ class Network:
         from repro.net.codec import CodecError, wire_size
 
         try:
-            if self.config.intern_wire and packet._wire_size is None:
-                # First sight of this instance: intern its wire form so
-                # identical packets elsewhere share one frozen view (and
-                # seed the _wire_size memo in the same single encode).
-                from repro.net.frozen import freeze
-
-                packet._wire_size = freeze(packet).wire_size
             packet.size_bytes = wire_size(packet)
         except CodecError:
             pass  # unregistered test packets keep their nominal size
@@ -381,54 +341,33 @@ class Network:
             return
         # in_range is index-accelerated: far-away monitors are rejected
         # from snapshot cells without a distance computation.
-        sender_address = packet.src or sender.address
-        sim = self.sim
-        arrival = sim.now + self.config.per_hop_delay
-        push_delivery = sim.queue.push_delivery
-        pool = sim.pool_events
-        if self.config.batch_broadcast:
-            entries = tuple(
-                entry
-                for entry in self._monitors
-                if entry[0] is not sender and self.in_range(sender, entry[0])
-            )
-            if entries:
-                push_delivery(
-                    arrival,
-                    self._overhear_arrive,
-                    (entries, packet, sender_address),
-                    f"overhear {packet.kind}",
-                    pool,
-                )
-            return
-        for monitor, callback in self._monitors:
-            if monitor is sender or not self.in_range(sender, monitor):
-                continue
-            push_delivery(
-                arrival,
-                self._overhear_arrive_one,
-                (monitor, callback, packet, sender_address),
+        entries = tuple(
+            entry
+            for entry in self._monitors
+            if entry[0] is not sender and self.in_range(sender, entry[0])
+        )
+        if entries:
+            sim = self.sim
+            sim.queue.push_delivery(
+                sim.now + self.config.per_hop_delay,
+                self._overhear_arrive,
+                (entries, packet, packet.src or sender.address),
                 f"overhear {packet.kind}",
-                pool,
+                None,
             )
 
     def _overhear_arrive(
         self, entries: tuple, packet: Packet, sender_address: str
     ) -> None:
         # A monitor removed while the delivery was in flight must not
-        # hear it: re-check registration at delivery time.  Entries are
+        # hear it: re-check registration at delivery time, per entry,
+        # because an earlier callback in this batch may remove a later
+        # monitor (remove_monitor rebinds the list).  Entries are
         # ``(node, callback)`` pairs; tuple equality compares the node
         # by identity and the bound-method callback by (func, self).
-        monitors = self._monitors
         for entry in entries:
-            if entry in monitors:
+            if entry in self._monitors:
                 entry[1](packet, sender_address, packet.dst)
-
-    def _overhear_arrive_one(
-        self, monitor: Node, callback, packet: Packet, sender_address: str
-    ) -> None:
-        if (monitor, callback) in self._monitors:
-            callback(packet, sender_address, packet.dst)
 
     _deliver_labels: dict[str, str] = {}
 
@@ -463,17 +402,10 @@ class Network:
             obs.metrics.counter("net.sent", kind=packet.kind).inc()
         if obs.trace is not None:
             obs.trace.emit(sender.node_id, "net.send", packet)
-        for tap in self.taps:
-            tap(packet, "air")
         if self._monitors:
             self._overhear(sender, packet)
         if packet.dst == BROADCAST:
-            receivers = self.neighbors(sender)
-            if self.config.batch_broadcast:
-                self._broadcast_batched(sender, receivers, packet)
-            else:
-                for receiver in receivers:
-                    self._deliver(sender, receiver, packet)
+            self._broadcast_batched(sender, self.neighbors(sender), packet)
             return
         receiver = self._by_address.get(packet.dst)
         if receiver is None:
@@ -492,16 +424,16 @@ class Network:
         """Fan a broadcast out as one leg per distinct arrival time.
 
         Per-receiver loss and jitter draws happen here, at send time, in
-        receiver order — exactly the draws (and RNG stream order) the
-        per-receiver path makes.  Receivers that land on the same delay
-        form one leg, invoked in receiver order; the per-receiver path
-        would have given them consecutive sequence numbers, so no
-        foreign event can sort between them.  A leg of one receiver is
+        receiver order — exactly the draws (and RNG stream order) that
+        one :meth:`_deliver` per receiver would make.  Receivers that
+        land on the same delay form one leg, invoked in receiver order;
+        per-receiver events would have had consecutive sequence numbers,
+        so no foreign event can sort between them.  A leg of one receiver is
         kept as the bare node: a list per pending leg would give the
         cycle collector tens of thousands of objects to scan at every
         dense beacon instant.
 
-        A single leg is one pooled delivery event.  Several legs ride a
+        A single leg is one delivery event.  Several legs ride a
         :class:`_Train`: legs sorted by arrival (first occurrence breaks
         ties), the first filed through ``push_delivery``, the rest
         counted by :meth:`EventQueue.defer
@@ -551,7 +483,7 @@ class Network:
                 self._arrive_batch,
                 (batch, packet, sender_address),
                 label,
-                sim.pool_events,
+                None,
             )
             return
         # Stable sort on arrival time: ties keep first-occurrence order.
@@ -559,9 +491,8 @@ class Network:
         order.reverse()
         first = order.pop()
         train = _Train(groups, order, first, now, packet, sender_address)
-        # Not pooled: the event outlives each dispatch until its last leg.
         train.event = queue.push_delivery(
-            now + first, self._arrive_train, (train,), label, False
+            now + first, self._arrive_train, (train,), label, None
         )
         queue.defer(len(order))
 
@@ -648,7 +579,7 @@ class Network:
             self._arrive,
             (receiver, packet, sender_address),
             self._deliver_label(packet.kind),
-            sim.pool_events,
+            None,
         )
 
     def _arrive(self, receiver: Node, packet: Packet, sender_address: str) -> None:
@@ -703,15 +634,12 @@ class Network:
             obs.metrics.counter("net.backbone_sent", kind=packet.kind).inc()
         if obs.trace is not None:
             obs.trace.emit(sender.node_id, "net.backbone_send", packet)
-        for tap in self.taps:
-            tap(packet, "wire")
         delay = max(1, hops) * self.config.wired_hop_delay
         self.sim.schedule(
             delay,
             self._arrive_backbone,
             args=(receiver, packet, sender.address),
             label=f"backbone {packet.kind}",
-            pooled=True,
         )
         return True
 

@@ -13,8 +13,7 @@ owns the AODV control packets, :mod:`repro.clusters.packets` the
 cluster-management packets, and :mod:`repro.core.packets` the BlackDP
 detection packets.  None of them defines wire layout: field *order on
 the wire* has a single source of truth, the codec registry in
-:mod:`repro.net.codec`, which the flyweight layer
-(:mod:`repro.net.frozen`) also decodes through.  Adding a packet type
+:mod:`repro.net.codec`.  Adding a packet type
 means defining the dataclass in its owning layer and registering an
 encoder/decoder pair in the codec — never duplicating field lists.
 

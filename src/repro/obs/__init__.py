@@ -45,7 +45,12 @@ from repro.obs.timeline import (
     timeline_stats,
 )
 from repro.obs.timeseries import MetricSeries, TimeSeriesRecorder
-from repro.obs.trace import TraceCollector, TraceEvent, TraceFilter
+from repro.obs.trace import (
+    TraceCollector,
+    TraceEvent,
+    TraceFilter,
+    render_sequence,
+)
 
 
 class Observability:
@@ -137,6 +142,7 @@ __all__ = [
     "format_timelines",
     "reconstruct_timelines",
     "render_openmetrics",
+    "render_sequence",
     "serve_metrics",
     "timeline_stats",
 ]

@@ -9,7 +9,8 @@ what triggered them (``uid:123`` for a forwarded copy of packet 123,
 ``rreq:7`` for a reply to request id 7, ``suspect:<pid>`` for a
 detection case), which is what lets :meth:`TraceCollector.follow`
 reconstruct a packet's path and an examination's probe→verdict sequence
-after the fact.
+after the fact.  :func:`render_sequence` draws a trace's transmissions
+as an ASCII sequence diagram.
 """
 
 from __future__ import annotations
@@ -246,3 +247,97 @@ class TraceCollector:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+# ----------------------------------------------------------------------
+# Sequence diagrams
+# ----------------------------------------------------------------------
+#: default short names so labels fit inside one-column arrow spans
+KIND_ABBREVIATIONS = {
+    "DetectionRequest": "d_req",
+    "DetectionForward": "fwd",
+    "DetectionResult": "result",
+    "RouteRequest": "RREQ",
+    "RouteReply": "RREP",
+    "RevocationNoticePacket": "revoke",
+    "MemberWarning": "warn",
+    "SecureHello": "hello",
+    "HelloReply": "hello-re",
+    "JoinRequest": "JREQ",
+    "JoinReply": "JREP",
+    "LeaveNotice": "leave",
+}
+
+#: transmission record kinds and their arrow strokes
+_STROKES = {"net.send": "-", "net.backbone_send": "="}
+
+
+def render_sequence(
+    events: Iterable[TraceEvent],
+    participants: list[str],
+    *,
+    labels: dict[str, str] | None = None,
+    kind_labels: dict[str, str] | None = None,
+    column_width: int = 16,
+) -> str:
+    """Draw transmissions between ``participants`` as an ASCII ladder.
+
+    Reads the ``net.send`` (radio, drawn ``--->``) and
+    ``net.backbone_send`` (wired, drawn ``===>``) records of a trace and
+    skips every other kind, so a whole trace can be passed in; each
+    arrow is labelled with its ``packet_kind``::
+
+        t(s)        v1            rsu-1          rsu-2            bh
+        0.512    DetectionRequest--->|              |              |
+        0.514       |              forward=========>|              |
+
+    Records with endpoints outside ``participants`` are skipped;
+    broadcasts are drawn as one ``*``-suffixed arrow to the right margin
+    (to the left one when the sender is the last column).  ``labels``
+    maps raw addresses to display names (pseudonyms are unwieldy).
+    """
+    if not participants:
+        raise ValueError("need at least one participant")
+    labels = labels or {}
+    kind_labels = {**KIND_ABBREVIATIONS, **(kind_labels or {})}
+    index_of = {address: i for i, address in enumerate(participants)}
+    width = column_width
+    header = "t(s)".ljust(9) + "".join(
+        labels.get(address, address)[: width - 2].center(width)
+        for address in participants
+    )
+    lines = [header]
+    idle = "".join("|".center(width) for _ in participants)
+    for event in events:
+        stroke = _STROKES.get(event.kind)
+        if stroke is None or event.src not in index_of:
+            continue
+        src_index = index_of[event.src]
+        if event.dst == "*":
+            dst_index = len(participants) - 1
+            if dst_index == src_index:
+                dst_index = 0
+        elif event.dst in index_of:
+            dst_index = index_of[event.dst]
+        else:
+            continue
+        if src_index == dst_index:
+            continue
+        row = list(idle)
+        lo, hi = sorted((src_index, dst_index))
+        start = lo * width + width // 2
+        end = hi * width + width // 2
+        for position in range(start + 1, end):
+            row[position] = stroke
+        if dst_index > src_index:
+            row[end - 1] = ">"
+        else:
+            row[start + 1] = "<"
+        short = kind_labels.get(event.packet_kind, event.packet_kind)
+        label = short if event.dst != "*" else f"{short}*"
+        span = end - start - 1
+        if len(label) < span:
+            offset = start + 1 + (span - len(label)) // 2
+            row[offset : offset + len(label)] = label
+        lines.append(f"{event.time:8.3f} " + "".join(row))
+    return "\n".join(lines)

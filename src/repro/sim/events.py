@@ -16,34 +16,18 @@ that contract:
 - :class:`Event` is a ``__slots__`` class carrying an ``args`` tuple, so
   callers can schedule bound methods with arguments instead of
   allocating a capture-closure per packet;
-- timer-class work pushed with ``wheel=True`` is filed in a hierarchical
-  :class:`~repro.sim.wheel.TimerWheel` and only migrates into the heap
-  when the loop approaches its slot.  Wheel entries draw sequence
-  numbers from the same counter at scheduling time, so the merged
-  execution order is identical to a heap-only queue's.
+- timer-class work pushed with ``wheel=True`` is filed in the queue's
+  hierarchical :class:`~repro.sim.wheel.TimerWheel` and only migrates
+  into the heap when the loop approaches its slot.  Wheel entries draw
+  sequence numbers from the same counter at scheduling time, so the
+  merged execution order is identical to a heap-only queue's (the
+  equivalence tests pin it against a heap-only oracle whose wheel
+  refuses every entry).
 
 Cancellation stays lazy (a flag checked when an entry surfaces), but the
 queue now tracks its :attr:`~EventQueue.cancelled_fraction` and compacts
 itself once more than half of the stored entries are corpses, so
 restart-heavy timers no longer grow the heap without bound.
-
-Event pooling
--------------
-Fire-and-forget events — packet deliveries, overhear fan-out, anything
-scheduled with ``pooled=True`` whose handle the caller drops — are
-recycled through a bounded freelist instead of being allocated fresh for
-every transmission.  Dispatch hands the fired event back via
-:meth:`EventQueue.recycle`, which clears its action/args references (so
-packets are not kept alive by dead events) and tombstones it; the next
-``pooled`` push reinitialises it in place under a bumped
-:attr:`Event.generation`.  Late cancellations cannot resurrect a
-recycled event: a tombstoned event ignores ``cancel()``, and callers
-that must hold a handle across a dispatch can pass the generation they
-captured at scheduling time to :meth:`Event.cancel` — a stale
-generation is a no-op.  Pooling changes no ordering: sequence numbers
-are drawn from the same counter whether an event comes from the
-freelist or the allocator (``tests/test_packetpath_equivalence.py``
-pins byte-identical traces with the pool on and off).
 
 Deferred legs
 -------------
@@ -80,16 +64,6 @@ PRIORITY_LOW = 10
 #: rebuild cost.
 _COMPACT_MIN_STORED = 64
 
-#: Most recycled events the freelist holds on to (pool tuning knob; see
-#: docs/performance.md "Packet memory model").  Bursts beyond this fall
-#: back to the allocator, so the cap only bounds retained memory.
-POOL_MAX_FREE = 4096
-
-
-def _discarded() -> None:  # pragma: no cover - tombstone action
-    """Placeholder action carried by recycled events (module-level so
-    parked freelist events never pin a callback, and stay picklable)."""
-
 
 class Event:
     """A single scheduled callback.
@@ -111,12 +85,6 @@ class Event:
         Human-readable description used in error messages and traces.
     cancelled:
         Cancelled events stay filed but are skipped when they surface.
-    generation:
-        Incarnation counter for pooled events.  Bumped every time the
-        freelist reissues this object; a handle captured under an older
-        generation can no longer cancel it.
-    pooled:
-        True when dispatch should hand this event back to the freelist.
     """
 
     __slots__ = (
@@ -127,8 +95,6 @@ class Event:
         "args",
         "label",
         "cancelled",
-        "generation",
-        "pooled",
         "_queue",
     )
 
@@ -148,22 +114,15 @@ class Event:
         self.args = args
         self.label = label
         self.cancelled = False
-        self.generation = 0
-        self.pooled = False
         self._queue: EventQueue | None = None
 
-    def cancel(self, generation: int | None = None) -> None:
+    def cancel(self) -> None:
         """Mark this event so the queue skips it when it surfaces.
 
         Safe after the event fired: dispatch detaches the event from its
         queue, so a late cancel no longer perturbs the live-event
-        accounting.  ``generation`` (optional) guards pooled handles:
-        pass the value captured at scheduling time and the cancel
-        becomes a no-op if the freelist has since reissued the object to
-        a different logical event.
+        accounting.
         """
-        if generation is not None and generation != self.generation:
-            return
         if not self.cancelled:
             self.cancelled = True
             if self._queue is not None:
@@ -179,7 +138,10 @@ class Event:
 
 class EventQueue:
     """A tuple-keyed heap of :class:`Event` objects with lazy cancellation,
-    optionally backed by a :class:`~repro.sim.wheel.TimerWheel`.
+    backed by a :class:`~repro.sim.wheel.TimerWheel` for timer-class work.
+
+    ``wheel`` injects a wheel of another geometry; by default the queue
+    builds one with the default geometry.
 
     >>> q = EventQueue()
     >>> e = q.push(1.0, lambda: None, label="hello")
@@ -190,12 +152,7 @@ class EventQueue:
     True
     """
 
-    def __init__(
-        self,
-        *,
-        wheel: TimerWheel | None = None,
-        pool_max_free: int = POOL_MAX_FREE,
-    ) -> None:
+    def __init__(self, *, wheel: TimerWheel | None = None) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         #: next sequence number to hand out
         self._sequence = 0
@@ -203,7 +160,7 @@ class EventQueue:
         self._live = 0
         #: train legs held outside the heap (counted in ``_live``)
         self._deferred = 0
-        self.wheel = wheel
+        self.wheel = wheel if wheel is not None else TimerWheel()
         #: number of times the queue rebuilt itself to shed corpses
         self.compactions = 0
         #: most live events ever pending at once; tracked on push so the
@@ -211,16 +168,6 @@ class EventQueue:
         self.high_water = 0
         #: worst corpse fraction observed at a cancellation instant
         self.peak_cancelled_fraction = 0.0
-        #: recycled fire-and-forget events awaiting reuse
-        self._free: list[Event] = []
-        #: freelist retention cap (pool tuning knob)
-        self.pool_max_free = pool_max_free
-        #: events handed back to the freelist over the queue's lifetime
-        self.pool_recycled = 0
-        #: pushes served from the freelist instead of the allocator
-        self.pool_reused = 0
-        #: most events ever parked in the freelist at once
-        self.pool_high_water = 0
 
     def __len__(self) -> int:
         return self._live
@@ -237,42 +184,21 @@ class EventQueue:
         priority: int = PRIORITY_NORMAL,
         label: str = "",
         wheel: bool = False,
-        pooled: bool = False,
     ) -> Event:
         """Insert an event and return a handle that can be cancelled.
 
         ``wheel=True`` marks timer-class work (likely to be cancelled or
-        restarted before firing): it is filed in the timer wheel when one
-        is attached, falling back to the heap when the target slot has
-        already been flushed.  Ordering is identical either way.
-
-        ``pooled=True`` marks fire-and-forget work whose handle the
-        caller will not retain: the event is drawn from the freelist
-        when one is parked there and handed back to it after dispatch.
-        A caller that *does* keep the handle must cancel through the
-        generation captured at scheduling time (``event.generation``).
+        restarted before firing): it is filed in the timer wheel,
+        falling back to the heap when the target slot has already been
+        flushed.  Ordering is identical either way.
         """
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time!r}")
-        if pooled and self._free:
-            event = self._free.pop()
-            self.pool_reused += 1
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence = self._sequence
-            self._sequence = sequence + 1
-            event.action = action
-            event.args = args
-            event.label = label
-            event.cancelled = False
-            event.generation += 1
-        else:
-            sequence = self._sequence
-            self._sequence = sequence + 1
-            event = Event(time, priority, sequence, action, args, label)
-            event.pooled = pooled
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, action, args, label)
         event._queue = self
-        if not (wheel and self.wheel is not None and self.wheel.insert(event)):
+        if not (wheel and self.wheel.insert(event)):
             heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         if self._live > self.high_water:
@@ -285,36 +211,24 @@ class EventQueue:
         action: Callable[..., Any],
         args: tuple,
         label: str,
-        pooled: bool,
+        _ignored: object,
     ) -> Event:
         """Positional fast path of :meth:`push` for delivery fan-out.
 
-        Semantically ``push(time, action, args=args, label=label,
-        pooled=pooled)`` — same shared sequence counter, same heap entry,
-        same freelist — minus the keyword-argument plumbing and the
-        wheel/validity branches the radio fan-out never takes.  The
-        network schedules thousands of these per flood round; shaving
-        the call overhead here is worth the duplication.  ``time`` must
-        be non-negative (callers derive it as ``now + delay`` with
-        validated non-negative delays).
+        Semantically ``push(time, action, args=args, label=label)`` —
+        same shared sequence counter, same heap entry — minus the
+        keyword-argument plumbing and the wheel/validity branches the
+        radio fan-out never takes.  The network schedules thousands of
+        these per flood round; shaving the call overhead here is worth
+        the duplication.  ``time`` must be non-negative (callers derive
+        it as ``now + delay`` with validated non-negative delays).  The
+        fifth parameter is ignored (callers pass ``None``); it keeps the
+        positional signature that instrumentation wrapping this method
+        expects.
         """
-        if pooled and self._free:
-            event = self._free.pop()
-            self.pool_reused += 1
-            event.time = time
-            event.priority = PRIORITY_NORMAL
-            event.sequence = sequence = self._sequence
-            self._sequence = sequence + 1
-            event.action = action
-            event.args = args
-            event.label = label
-            event.cancelled = False
-            event.generation += 1
-        else:
-            sequence = self._sequence
-            self._sequence = sequence + 1
-            event = Event(time, PRIORITY_NORMAL, sequence, action, args, label)
-            event.pooled = pooled
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, PRIORITY_NORMAL, sequence, action, args, label)
         event._queue = self
         heappush(self._heap, (time, PRIORITY_NORMAL, sequence, event))
         live = self._live = self._live + 1
@@ -347,26 +261,6 @@ class EventQueue:
         heappush(self._heap, (time, PRIORITY_NORMAL, sequence, event))
         self._deferred -= 1
 
-    def recycle(self, event: Event) -> None:
-        """Hand a dispatched pooled event back to the freelist.
-
-        Clears the action/args references so a dead event never keeps a
-        packet (or a receiver batch) alive, and tombstones the object —
-        ``cancelled`` stays True until the freelist reissues it, so a
-        stale handle's ``cancel()`` is a no-op.  Called by the simulator
-        after the event's action returned; never call it for an event
-        that is still filed.
-        """
-        event.action = _discarded
-        event.args = ()
-        event.cancelled = True
-        free = self._free
-        if len(free) < self.pool_max_free:
-            free.append(event)
-            self.pool_recycled += 1
-            if len(free) > self.pool_high_water:
-                self.pool_high_water = len(free)
-
     # ------------------------------------------------------------------
     # Corpse accounting
     # ------------------------------------------------------------------
@@ -374,12 +268,7 @@ class EventQueue:
     def stored(self) -> int:
         """Entries held: live plus lazily-cancelled corpses, with each
         deferred train leg counted as the heap entry it stands for."""
-        wheel = self.wheel
-        return (
-            len(self._heap)
-            + self._deferred
-            + (wheel.stored if wheel is not None else 0)
-        )
+        return len(self._heap) + self._deferred + self.wheel.stored
 
     @property
     def cancelled_fraction(self) -> float:
@@ -405,8 +294,7 @@ class EventQueue:
         """
         self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapify(self._heap)
-        if self.wheel is not None:
-            self.wheel.prune()
+        self.wheel.prune()
         self.compactions += 1
 
     # ------------------------------------------------------------------
@@ -419,7 +307,7 @@ class EventQueue:
         every entry still in the wheel fires strictly later.
         """
         wheel = self.wheel
-        if wheel is None or not wheel.stored:
+        if not wheel.stored:
             return
         heap = self._heap
         if not heap:
@@ -450,15 +338,16 @@ class EventQueue:
         """Pop the earliest live event due at or before ``until``.
 
         Returns ``None`` when the queue is empty or the next live event
-        fires after ``until`` (that event is left in place).  This is the
-        run loop's single entry point: it fuses the peek/pop pair and the
-        wheel synchronisation into one heap access per iteration.
+        fires after ``until`` (that event is left in place).  Fuses the
+        peek/pop pair and the wheel synchronisation into one heap access
+        per iteration; :meth:`Simulator.run
+        <repro.sim.simulator.Simulator.run>` inlines this body.
         """
         heap = self._heap
         wheel = self.wheel
         while True:
             # inline _sync_wheel: this runs once per executed event
-            if wheel is not None and wheel.stored:
+            if wheel.stored:
                 if not heap:
                     wheel.flush_next(heap)
                 elif wheel.frontier <= heap[0][0]:
@@ -498,33 +387,6 @@ class EventQueue:
         for entry in self._heap:
             entry[3]._queue = None
         self._heap.clear()
-        if self.wheel is not None:
-            self.wheel.clear()
+        self.wheel.clear()
         self._live = 0
         self._deferred = 0
-
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle the freelist as a *count*, not as objects.
-
-        Parked events are interchangeable blanks; recording how many are
-        parked (and rebuilding that many on restore) keeps the pool's
-        occupancy — and therefore ``pool_reused``/``pool_high_water`` —
-        byte-identical between a restored run and one that never paused.
-        """
-        state = self.__dict__.copy()
-        state["_free"] = len(self._free)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        parked = state.pop("_free", 0)
-        self.__dict__.update(state)
-        free: list[Event] = []
-        for _ in range(int(parked)):
-            blank = Event(0.0, 0, 0, _discarded)
-            blank.pooled = True
-            blank.cancelled = True
-            free.append(blank)
-        self._free = free

@@ -8,9 +8,10 @@ The loop pulls events through :meth:`EventQueue.pop_due
 <repro.sim.events.EventQueue.pop_due>` — one heap access per iteration —
 and dispatches them as ``action(*args)``, so hot paths can schedule bound
 methods with arguments instead of allocating a closure per packet.
-Timer-class work goes through the :class:`~repro.sim.wheel.TimerWheel`
-(``schedule(..., wheel=True)``); ordering is byte-identical with the
-wheel on or off, which `tests/test_eventloop_equivalence.py` pins.
+Timer-class work goes through the queue's
+:class:`~repro.sim.wheel.TimerWheel` (``schedule(..., wheel=True)``);
+ordering is byte-identical to a heap-only queue's, which
+`tests/test_eventloop_equivalence.py` pins against a heap-only oracle.
 
 Observability hangs off ``sim.obs`` (see :mod:`repro.obs`): when a
 profiler is enabled the loop times each event and tracks queue depth;
@@ -27,21 +28,9 @@ from typing import Any, Callable
 from heapq import heappop
 
 from repro.obs import Observability
-from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL, _discarded
+from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL
 from repro.sim.logging import WARNING, SimLogger
 from repro.sim.rng import RandomStreams
-from repro.sim.wheel import TimerWheel
-
-#: Module-wide default for new simulators.  The equivalence tests flip
-#: this to compare the wheel-backed loop against the plain heap; normal
-#: code never touches it.
-USE_TIMER_WHEEL = True
-
-#: Module-wide default for event pooling (``schedule(..., pooled=True)``
-#: recycling fire-and-forget events through the queue's freelist).  The
-#: packet-path equivalence tests flip this to prove the pool changes no
-#: ordering; normal code never touches it.
-USE_EVENT_POOL = True
 
 
 class SimulationError(RuntimeError):
@@ -63,21 +52,9 @@ class Simulator:
     ['tick']
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        log_level: int | None = None,
-        use_wheel: bool | None = None,
-        pool_events: bool | None = None,
-    ) -> None:
-        if use_wheel is None:
-            use_wheel = USE_TIMER_WHEEL
-        if pool_events is None:
-            pool_events = USE_EVENT_POOL
-        self.pool_events = pool_events
+    def __init__(self, *, seed: int = 0, log_level: int | None = None) -> None:
         self.now: float = 0.0
-        self.queue = EventQueue(wheel=TimerWheel() if use_wheel else None)
+        self.queue = EventQueue()
         self.streams = RandomStreams(seed)
         self.logger = SimLogger(
             self, level=WARNING if log_level is None else log_level
@@ -99,19 +76,12 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
         label: str = "",
         wheel: bool = False,
-        pooled: bool = False,
     ) -> Event:
         """Schedule ``action(*args)`` to run ``delay`` seconds from now.
 
         ``wheel=True`` files the event in the timer wheel (see
         :meth:`EventQueue.push <repro.sim.events.EventQueue.push>`); use
         it for timeouts that are usually cancelled or restarted.
-
-        ``pooled=True`` marks the event fire-and-forget: the loop
-        recycles it into the queue's freelist right after dispatch, so
-        callers must drop the returned handle (a later ``cancel()``
-        could hit a recycled event — hold ``(event, event.generation)``
-        and pass the generation to ``cancel`` if you must keep one).
         """
         if delay < 0:
             raise SimulationError(
@@ -124,7 +94,6 @@ class Simulator:
             priority=priority,
             label=label,
             wheel=wheel,
-            pooled=pooled and self.pool_events,
         )
 
     def schedule_at(
@@ -136,7 +105,6 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
         label: str = "",
         wheel: bool = False,
-        pooled: bool = False,
     ) -> Event:
         """Schedule ``action(*args)`` at absolute virtual ``time``."""
         if time < self.now:
@@ -150,7 +118,6 @@ class Simulator:
             priority=priority,
             label=label,
             wheel=wheel,
-            pooled=pooled and self.pool_events,
         )
 
     # ------------------------------------------------------------------
@@ -175,18 +142,11 @@ class Simulator:
         self._stopped = False
         executed = 0
         queue = self.queue
-        # The pop/recycle pair is inlined from EventQueue.pop_due /
-        # EventQueue.recycle below (both kept verbatim on the queue for
-        # step() and external callers): at packet-path rates the two
-        # call frames per event are a measurable share of the loop.
-        # Pool counters are batched into locals and flushed in the
-        # finally block; nothing reads them mid-run.
+        # EventQueue.pop_due is inlined below (kept verbatim on the
+        # queue for external callers): at packet-path rates its call
+        # frame per event is a measurable share of the loop.
         heap = queue._heap
         wheel = queue.wheel
-        free = queue._free
-        pool_max_free = queue.pool_max_free
-        recycled = 0
-        pool_peak = queue.pool_high_water
         deadline = float("inf") if until is None else until
         profiler = self.obs.profiler
         if profiler is not None:
@@ -207,7 +167,7 @@ class Simulator:
                     while not self._stopped:
                         # -- inline EventQueue.pop_due(until) --
                         while True:
-                            if wheel is not None and wheel.stored:
+                            if wheel.stored:
                                 if not heap:
                                     wheel.flush_next(heap)
                                 elif wheel.frontier <= heap[0][0]:
@@ -244,17 +204,6 @@ class Simulator:
                             inlined_busy += seconds
                         else:
                             record(event.label, seconds)
-                        if event.pooled:
-                            # -- inline EventQueue.recycle(event) --
-                            event.action = _discarded
-                            event.args = ()
-                            event.cancelled = True
-                            flen = len(free)
-                            if flen < pool_max_free:
-                                free.append(event)
-                                recycled += 1
-                                if flen >= pool_peak:
-                                    pool_peak = flen + 1
                         executed += 1
                         if max_events is not None and executed >= max_events:
                             raise SimulationError(
@@ -269,7 +218,7 @@ class Simulator:
                 while not self._stopped:
                     # -- inline EventQueue.pop_due(until) --
                     while True:
-                        if wheel is not None and wheel.stored:
+                        if wheel.stored:
                             if not heap:
                                 wheel.flush_next(heap)
                             elif wheel.frontier <= heap[0][0]:
@@ -293,17 +242,6 @@ class Simulator:
                         break
                     self.now = event.time
                     event.action(*event.args)
-                    if event.pooled:
-                        # -- inline EventQueue.recycle(event) --
-                        event.action = _discarded
-                        event.args = ()
-                        event.cancelled = True
-                        flen = len(free)
-                        if flen < pool_max_free:
-                            free.append(event)
-                            recycled += 1
-                            if flen >= pool_peak:
-                                pool_peak = flen + 1
                     executed += 1
                     if max_events is not None and executed >= max_events:
                         raise SimulationError(
@@ -315,9 +253,6 @@ class Simulator:
         finally:
             self._running = False
             self.events_executed += executed
-            queue.pool_recycled += recycled
-            if pool_peak > queue.pool_high_water:
-                queue.pool_high_water = pool_peak
             if profiler is not None:
                 profiler.end_run(self.now)
             self._publish_queue_metrics()
@@ -350,8 +285,6 @@ class Simulator:
                 profiler.record(event.label, profiler.clock() - started)
             else:
                 event.action(*event.args)
-            if event.pooled:
-                self.queue.recycle(event)
             self.events_executed += 1
         finally:
             self._running = False
@@ -382,20 +315,9 @@ class Simulator:
             round(queue.peak_cancelled_fraction, 6),
         )
         wheel = queue.wheel
-        if wheel is not None:
-            metrics.gauge("sim.wheel.pending").pin(
-                wheel.stored, wheel.stored_high_water
-            )
-            metrics.gauge("sim.wheel.flushed").set(wheel.flushed)
-            metrics.gauge("sim.wheel.pruned").set(wheel.pruned)
-        metrics.gauge("sim.pool.recycled").set(queue.pool_recycled)
-        metrics.gauge("sim.pool.reused").set(queue.pool_reused)
-        metrics.gauge("sim.pool.high_water").set(queue.pool_high_water)
-        from repro.net import frozen  # deferred: sim must not hard-import net
-
-        intern_stats = frozen.stats()
-        metrics.gauge("net.packet.interned").set(intern_stats["interned"])
-        metrics.gauge("net.packet.cow_copies").set(intern_stats["cow_copies"])
+        metrics.gauge("sim.wheel.pending").pin(wheel.stored, wheel.stored_high_water)
+        metrics.gauge("sim.wheel.flushed").set(wheel.flushed)
+        metrics.gauge("sim.wheel.pruned").set(wheel.pruned)
 
     # ------------------------------------------------------------------
     # Convenience

@@ -27,6 +27,8 @@ Schema history
 2: no ``itertools`` counters in the payload: the event queue's sequence
    counter, the certificate serial counter and the packet-uid position
    are plain integers; event queues count deferred delivery-train legs.
+3: event queues hold no freelist and always own a timer wheel; events
+   carry no pool generation; the globals drop the wire-intern counters.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 2
+SNAPSHOT_SCHEMA = 3
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

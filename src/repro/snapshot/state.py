@@ -1,7 +1,8 @@
 """World-level snapshot API: capture, restore, fork.
 
 ``snapshot(world)`` serializes a complete simulation — the event heap
-and timer wheel (cancelled-corpse bookkeeping included), every named
+and the timer wheel every queue owns (cancelled-corpse bookkeeping and
+deferred delivery-train legs included), every named
 RNG stream, network and spatial-index attachment state, routing tables,
 crypto material (keys, certificates, pseudonym and revocation state),
 cluster/RSU and detection-case state — into one schema-versioned blob.
@@ -32,33 +33,23 @@ from repro.snapshot.codec import SnapshotInfo
 def capture_globals() -> dict[str, Any]:
     """Pickle-ready capture of process-global allocator positions."""
     import repro.core.examiner as examiner
-    import repro.net.frozen as frozen
     import repro.net.packets as packets
 
     return {
         "net.packet_ids": packets.packet_id_position(),
         "core.synthetic_serials": examiner._synthetic_serials,
-        "net.frozen_counters": frozen.capture_counters(),
     }
 
 
 def apply_globals(captured: dict[str, Any]) -> None:
-    """Rewind process-global allocators to a captured position.
-
-    The frozen-packet counters are rewound *after* unpickling (restore
-    calls this last), so the re-interning that unpickling itself performs
-    does not inflate the restored gauges past the captured position.
-    """
+    """Rewind process-global allocators to a captured position."""
     import repro.core.examiner as examiner
-    import repro.net.frozen as frozen
     import repro.net.packets as packets
 
     if "net.packet_ids" in captured:
         packets.set_packet_id_position(captured["net.packet_ids"])
     if "core.synthetic_serials" in captured:
         examiner._synthetic_serials = captured["core.synthetic_serials"]
-    if "net.frozen_counters" in captured:
-        frozen.apply_counters(captured["net.frozen_counters"])
 
 
 def _sim_of(root: object):

@@ -1,15 +1,94 @@
-"""Shared test fixtures: quick topology builders.
+"""Shared test fixtures: quick topology builders and reference paths.
 
 A "chain" places nodes 800 m apart with 1000 m radios, so each node only
 reaches its immediate neighbours — the standard multi-hop line topology
 for AODV tests.
+
+The reference paths are the straightforward implementations that the
+production hot paths must match exactly; golden-trace tests patch them
+onto :class:`~repro.net.network.Network` (or a single instance, see
+:func:`patch_network`) and onto :class:`~repro.sim.wheel.TimerWheel`:
+
+- :data:`PER_RECEIVER` — one delivery event per broadcast receiver and
+  one overhear event per monitor, instead of delivery trains and
+  batched overhearing;
+- :data:`BRUTE_FORCE` — O(N) neighbour scans and exact range checks,
+  instead of the spatial grid;
+- :func:`refuse_wheel_insert` — a timer wheel that files nothing, so
+  every event goes through the heap.
 """
 
 from __future__ import annotations
 
+from types import MethodType
+
 from repro.net import ChannelConfig, Network, Node
 from repro.routing import AodvConfig, AodvProtocol
 from repro.sim import Simulator
+
+
+# ----------------------------------------------------------------------
+# Reference paths
+# ----------------------------------------------------------------------
+def broadcast_per_receiver(net, sender, receivers, packet):
+    """Schedule one delivery event per receiver (loss and jitter drawn
+    per receiver, in receiver order)."""
+    for receiver in receivers:
+        net._deliver(sender, receiver, packet)
+
+
+def overhear_per_monitor(net, sender, packet):
+    """Schedule one overhear event per in-range monitor."""
+    sender_address = packet.src or sender.address
+    sim = net.sim
+    arrival = sim.now + net.config.per_hop_delay
+    for monitor, callback in net._monitors:
+        if monitor is sender or not net.in_range(sender, monitor):
+            continue
+        sim.queue.push_delivery(
+            arrival,
+            _overhear_arrive_one,
+            (net, monitor, callback, packet, sender_address),
+            f"overhear {packet.kind}",
+            None,
+        )
+
+
+def _overhear_arrive_one(net, monitor, callback, packet, sender_address):
+    # registration is re-checked on arrival, as on the batched path
+    if (monitor, callback) in net._monitors:
+        callback(packet, sender_address, packet.dst)
+
+
+def brute_neighbors(net, node):
+    """Every attached node in bidirectional range, in attach order."""
+    return [other for other in net.nodes if net._pair_in_range(node, other)]
+
+
+def brute_in_range(net, a, b):
+    """The exact unit-disk predicate, no grid rejection."""
+    return net._pair_in_range(a, b)
+
+
+def refuse_wheel_insert(wheel, event):
+    """A wheel that refuses every entry: the queue falls back to the heap."""
+    return False
+
+
+#: Network methods replaced by per-receiver delivery and overhearing
+PER_RECEIVER = {
+    "_broadcast_batched": broadcast_per_receiver,
+    "_overhear": overhear_per_monitor,
+}
+#: Network methods replaced by the brute-force neighbour scan
+BRUTE_FORCE = {"neighbors": brute_neighbors, "in_range": brute_in_range}
+
+
+def patch_network(net, paths):
+    """Switch one network instance to the given reference paths (other
+    networks keep the production paths)."""
+    for name, function in paths.items():
+        setattr(net, name, MethodType(function, net))
 
 
 class AodvHost:

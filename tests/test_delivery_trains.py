@@ -1,5 +1,5 @@
-"""Delivery trains: snapshots taken mid-train, train lifetime, and
-handlers that raise between legs.
+"""Delivery trains: snapshots taken mid-train, train lifetime, handlers
+that raise between legs, and flat memory in a steady beacon mesh.
 
 A broadcast whose receivers draw several arrival times rides one
 delivery train (``repro.net.network``): one event re-queued leg by leg.
@@ -10,6 +10,7 @@ holds on to while it is in flight.
 
 import gc
 import itertools
+import tracemalloc
 import types
 import weakref
 
@@ -31,19 +32,20 @@ def _pending_trains(sim):
     ]
 
 
-def _hello_mesh(vehicles=100, seed=21):
+def _hello_mesh(vehicles=100, seed=21, length=3000.0, trace=True):
     """Vehicles beaconing AODV Hellos every second, all at the same
     instants, each receiving from dozens of neighbours."""
     packets_module._packet_ids = itertools.count(1)
     sim = Simulator(seed=seed)
     net = Network(sim, ChannelConfig())
-    sim.obs.enable_trace()
+    if trace:
+        sim.obs.enable_trace()
     placement = sim.rng("placement")
     for index in range(vehicles):
         node = Node(
             sim,
             f"veh-{index}",
-            position=(placement.uniform(0.0, 3000.0), 0.0),
+            position=(placement.uniform(0.0, length), 0.0),
             transmission_range=500.0,
         )
         net.attach(node)
@@ -81,6 +83,31 @@ def test_snapshot_mid_train_restores_byte_identical():
     assert len(_pending_trains(restored.sim)) == len(in_flight)
     restored.sim.run(until=6.0)
     assert _fingerprint(restored) == straight
+
+
+#: Allowed heap growth over 8 steady-state seconds of the Hello mesh
+#: below.  The mesh makes about 800 broadcasts and 7000 deliveries in
+#: that span, so retaining even one small object per broadcast exceeds
+#: it; a healthy run grows by well under 1 KiB.
+FLAT_MEMORY_BOUND = 16 * 1024
+
+
+def test_steady_hello_mesh_memory_stays_flat():
+    """Once every route and cache is warm, delivering more beacons must
+    not grow the heap: events, trains and packets are all freed."""
+    world = _hello_mesh(seed=42, length=10_000.0, trace=False)
+    tracemalloc.start()
+    try:
+        world.sim.run(until=4.0)
+        gc.collect()
+        warm, _ = tracemalloc.get_traced_memory()
+        world.sim.run(until=12.0)
+        gc.collect()
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert world.net.stats.delivered > 10_000
+    assert end - warm < FLAT_MEMORY_BOUND
 
 
 def _line(count=6, seed=4):

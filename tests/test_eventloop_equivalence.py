@@ -1,12 +1,12 @@
-"""Golden-trace equivalence: the overhauled event loop vs the legacy one.
+"""Golden-trace equivalence: the event loop vs its reference paths.
 
-The hot-path overhaul (tuple-keyed heap, timer wheel, batched broadcast
-delivery) must be invisible to every seeded experiment.  These tests run
-the same trial under the new defaults and under the legacy
-configuration (``USE_TIMER_WHEEL=False`` + ``batch_broadcast=False``,
-which together reproduce the pre-overhaul per-event scheduling exactly)
-and require byte-identical trace JSONL plus an identical
-:class:`TrialSummary`.
+The hot-path mechanisms (tuple-keyed heap, timer wheel, batched
+broadcast delivery and overhearing) must be invisible to every seeded
+experiment.  These tests run the same trial on the production paths and
+on the reference paths of ``tests/helpers.py`` — a heap-only queue
+(every wheel insert refused) plus per-receiver delivery, which together
+reproduce plain per-event scheduling exactly — and require
+byte-identical trace JSONL plus an identical :class:`TrialSummary`.
 
 Packet uids come from a module-global counter, so each run resets it —
 otherwise the second run's trace would differ in uids alone.
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.net.packets as packets_module
-import repro.sim.simulator as simulator_module
 from repro.experiments.config import (
     ATTACK_COOPERATIVE,
     ATTACK_NONE,
@@ -31,24 +30,34 @@ from repro.experiments.executor import summarize_trial
 from repro.experiments.trial import run_trial
 from repro.net import BROADCAST, ChannelConfig, Network, Node, Packet
 from repro.routing.protocol import AodvConfig, AodvProtocol
-from repro.sim import Simulator
+from repro.sim import Simulator, TimerWheel
+from tests.helpers import PER_RECEIVER, patch_network, refuse_wheel_insert
 
 
 def _reset_packet_uids():
     packets_module._packet_ids = itertools.count(1)
 
 
+def _reference_paths(patch, *, use_wheel, batch):
+    """Swap the wheel and/or the batched delivery for their references."""
+    if not use_wheel:
+        patch.setattr(TimerWheel, "insert", refuse_wheel_insert)
+    if not batch:
+        for name, function in PER_RECEIVER.items():
+            patch.setattr(Network, name, function)
+
+
 def _run_table1_trial(monkeypatch, *, attack, cluster, use_wheel, batch):
     _reset_packet_uids()
-    monkeypatch.setattr(simulator_module, "USE_TIMER_WHEEL", use_wheel)
     config = TrialConfig(
         seed=7,
         attack=attack,
         attacker_cluster=cluster,
         trace=True,
-        channel=ChannelConfig(batch_broadcast=batch),
     )
-    result = run_trial(config)
+    with monkeypatch.context() as patch:
+        _reference_paths(patch, use_wheel=use_wheel, batch=batch)
+        result = run_trial(config)
     trace = "\n".join(event.to_json() for event in result.trace_events)
     return trace, summarize_trial(config, result).to_dict()
 
@@ -69,7 +78,7 @@ def test_table1_trial_traces_are_byte_identical(monkeypatch, attack, cluster):
 
 
 def test_each_mechanism_is_independently_equivalent(monkeypatch):
-    """Wheel-only and batch-only configurations also match the legacy
+    """Wheel-only and batch-only configurations also match the reference
     run, so a regression can be attributed to one mechanism."""
     baseline = _run_table1_trial(
         monkeypatch, attack=ATTACK_SINGLE, cluster=4, use_wheel=False, batch=False
@@ -85,16 +94,19 @@ def test_each_mechanism_is_independently_equivalent(monkeypatch):
 
 
 def _run_hello_mesh(monkeypatch, *, use_wheel, batch):
+    _reset_packet_uids()
+    with monkeypatch.context() as patch:
+        _reference_paths(patch, use_wheel=use_wheel, batch=batch)
+        return _hello_mesh()
+
+
+def _hello_mesh():
     """Jitter-free beacon-heavy mesh: the case where batching genuinely
     merges receivers (identical arrival times) instead of degenerating
     into singleton groups, plus live unicast data on top.
     """
-    _reset_packet_uids()
-    monkeypatch.setattr(simulator_module, "USE_TIMER_WHEEL", use_wheel)
     sim = Simulator(seed=11)
-    net = Network(
-        sim, ChannelConfig(jitter=0.0, loss_rate=0.05, batch_broadcast=batch)
-    )
+    net = Network(sim, ChannelConfig(jitter=0.0, loss_rate=0.05))
     sim.obs.enable_trace()
     nodes = []
     placement = sim.rng("placement")
@@ -141,9 +153,9 @@ def test_hello_mesh_batching_is_trace_identical_with_fewer_events(monkeypatch):
 # Delivery trains vs the per-receiver oracle
 # ----------------------------------------------------------------------
 # With jitter every receiver of a broadcast draws its own arrival time,
-# so each leg of a delivery train stands for exactly one per-receiver
-# event of ``batch_broadcast=False``: the two runs must match event for
-# event, not just in outcome.  ``_Ripple`` floods (re-broadcast while
+# so each leg of a delivery train stands for exactly one event of the
+# per-receiver reference path: the two runs must match event for event,
+# not just in outcome.  ``_Ripple`` floods (re-broadcast while
 # other trains are still in flight) and per-node watchdog timers that
 # every delivery restarts (cancelled corpses, compactions) make the
 # queue accounting non-trivial.
@@ -197,10 +209,9 @@ class _MeshNode:
 
 def _mesh(seed, size, loss, jitter, *, batch, beacons=4, wheel=True):
     sim = Simulator(seed=seed)
-    net = Network(
-        sim,
-        ChannelConfig(jitter=jitter, loss_rate=loss, batch_broadcast=batch),
-    )
+    net = Network(sim, ChannelConfig(jitter=jitter, loss_rate=loss))
+    if not batch:
+        patch_network(net, PER_RECEIVER)
     log = []
     placement = sim.rng("placement")
     for index in range(size):
@@ -346,7 +357,9 @@ def test_train_legs_with_shared_arrivals_match_oracle(sent, draws):
     logs = []
     for batch in (True, False):
         sim = Simulator(seed=1)
-        net = Network(sim, ChannelConfig(jitter=0.0005, batch_broadcast=batch))
+        net = Network(sim, ChannelConfig(jitter=0.0005))
+        if not batch:
+            patch_network(net, PER_RECEIVER)
         net._rng = _ScriptedRng(draws)
         log = []
         nodes = []

@@ -69,6 +69,30 @@ SAMPLE_PACKETS = [
 ]
 
 
+def certificate_packets():
+    """One certificate-bearing sample of each type that carries one."""
+    cert = certificate()
+    return [
+        RouteReply(src="b", dst="a", originator="a", destination="d",
+                   destination_seq=120, hop_count=1, lifetime=30.0,
+                   replied_by="b", next_hop_claim="b2", cluster_of_replier=4,
+                   certificate=cert, signature=b"\x01" * 32),
+        SecureHello(src="a", dst="b", originator="a", target="d", nonce=17,
+                    certificate=cert, signature=b"s" * 32),
+        HelloReply(src="d", dst="b", originator="a", responder="d", nonce=17,
+                   certificate=cert, signature=b"s" * 32),
+        DetectionRequest(src="v", dst="rsu-1", reporter="v", reporter_cluster=1,
+                         suspect="b", suspect_cluster=3,
+                         suspect_certificate=cert),
+        DetectionForward(src="rsu-1", dst="rsu-3", reporter="v",
+                         reporter_cluster=1, suspect="b", suspect_cluster=3,
+                         suspect_certificate=cert, phase="probe2",
+                         rrep1_seq=250, packets_so_far=4,
+                         packet_breakdown=["d_req", "RREQ_1"],
+                         forwards_used=1, direction=1),
+    ]
+
+
 @pytest.mark.parametrize("packet", SAMPLE_PACKETS, ids=lambda p: p.kind)
 def test_roundtrip_simple_packets(packet):
     roundtrip_equal(packet)
@@ -153,7 +177,9 @@ def test_truncated_packet_rejected():
         decode(data[: len(data) // 2])
 
 
-@pytest.mark.parametrize("packet", SAMPLE_PACKETS, ids=lambda p: p.kind)
+@pytest.mark.parametrize(
+    "packet", SAMPLE_PACKETS + certificate_packets(), ids=lambda p: p.kind
+)
 def test_every_truncated_body_prefix_rejected(packet):
     """Body reads are sequential and consume the exact encoded length,
     so *every* strict prefix must surface as a CodecError — never a
@@ -270,7 +296,7 @@ def test_route_error_roundtrip_property(unreachable):
 
 
 @settings(max_examples=40, deadline=None)
-@given(junk=st.binary(min_size=1, max_size=64))
+@given(junk=st.binary(min_size=0, max_size=160))
 def test_arbitrary_bytes_never_crash_decoder(junk):
     try:
         decode(junk)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.net import BROADCAST, ChannelConfig, Network, Node, Packet
 from repro.sim import Simulator
+from tests.helpers import PER_RECEIVER, patch_network
 
 
 def make_net(seed=1, **config):
@@ -203,8 +204,10 @@ def test_in_range_matches_distance_threshold(x):
 # ----------------------------------------------------------------------
 # Promiscuous monitors: registration is re-checked at delivery time
 # ----------------------------------------------------------------------
-def _monitor_setup(**config):
-    sim, net = make_net(**config)
+def _monitor_setup(batch=True):
+    sim, net = make_net()
+    if not batch:
+        patch_network(net, PER_RECEIVER)
     sender = add_node(sim, net, "sender", 0)
     add_node(sim, net, "receiver", 500)
     watcher = add_node(sim, net, "watcher", 200)
@@ -218,10 +221,8 @@ def _monitor_setup(**config):
 def test_monitor_removed_in_flight_never_hears(batch):
     """A monitor removed while the overhear delivery is still in the air
     must not receive it — registration is re-checked on arrival (both
-    the batched entry-tuple path and the legacy per-monitor path)."""
-    sim, net, sender, watcher, _callback, overheard = _monitor_setup(
-        batch_broadcast=batch
-    )
+    the batched entry-tuple path and the per-monitor reference path)."""
+    sim, net, sender, watcher, _callback, overheard = _monitor_setup(batch)
     sender.send(Packet(src="sender", dst="receiver"))
     # The overhear is in flight (per_hop_delay away); detach before it
     # lands.  Delay 0 sorts ahead of the radio delay in the event queue.
@@ -232,13 +233,35 @@ def test_monitor_removed_in_flight_never_hears(batch):
 
 @pytest.mark.parametrize("batch", [True, False])
 def test_monitor_present_at_arrival_hears(batch):
-    sim, net, sender, _watcher, _callback, overheard = _monitor_setup(
-        batch_broadcast=batch
-    )
+    sim, net, sender, _watcher, _callback, overheard = _monitor_setup(batch)
     sender.send(Packet(src="sender", dst="receiver"))
     sim.run()
     assert len(overheard) == 1
     assert overheard[0][1:] == ("sender", "receiver")
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_monitor_removed_by_earlier_callback_in_same_batch_never_hears(batch):
+    """Two monitors overhear one unicast; the first callback removes the
+    second monitor, which must then not hear the same transmission."""
+    sim, net = make_net()
+    if not batch:
+        patch_network(net, PER_RECEIVER)
+    sender = add_node(sim, net, "sender", 0)
+    add_node(sim, net, "receiver", 500)
+    first = add_node(sim, net, "w1", 200)
+    second = add_node(sim, net, "w2", 300)
+    heard = []
+
+    def first_callback(packet, src, dst):
+        heard.append("w1")
+        net.remove_monitor(second)
+
+    net.add_monitor(first, first_callback)
+    net.add_monitor(second, lambda p, s, d: heard.append("w2"))
+    sender.send(Packet(src="sender", dst="receiver"))
+    sim.run()
+    assert heard == ["w1"]
 
 
 def test_remove_monitor_by_callback_keeps_other_taps():

@@ -5,7 +5,8 @@ query returns exactly the list the O(N) scan would (same objects, same
 attach order) under randomized topologies, pseudonym churn, disposable
 aliases, mid-flight detaches and lazy kinematic motion across cell
 borders — that equivalence is what makes seeded experiments
-byte-identical with the index on or off.
+byte-identical to runs on the brute-force reference scan
+(``tests/helpers.py``).
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.mobility import VehicleMotion
 from repro.net import BROADCAST, ChannelConfig, Network, Node, Packet
 from repro.sim import Simulator
+from tests.helpers import BRUTE_FORCE, brute_neighbors, patch_network
 
 
 class KineticNode(Node):
@@ -32,11 +34,6 @@ class KineticNode(Node):
     @property
     def speed(self):
         return self.motion.speed_at(self.sim.now)
-
-
-def brute_neighbors(net, node):
-    """The O(N) oracle the grid must match exactly."""
-    return [other for other in net.nodes if net._pair_in_range(node, other)]
 
 
 def assert_equivalent(net, probes=None):
@@ -84,7 +81,8 @@ def test_grid_matches_brute_force_on_random_topologies(nodes):
 @settings(max_examples=50, deadline=None)
 def test_in_range_identical_with_index_on_and_off(positions):
     sim_on, net_on = make_net()
-    sim_off, net_off = make_net(spatial_index=False)
+    sim_off, net_off = make_net()
+    patch_network(net_off, BRUTE_FORCE)
     on, off = [], []
     for i, x in enumerate(positions):
         on.append(Node(sim_on, f"n{i}", position=(x, 0.0)))
@@ -244,24 +242,14 @@ def test_spatial_config_validation():
         ChannelConfig(spatial_max_speed=-1.0)
 
 
-def test_disabled_index_keeps_brute_force_path():
-    sim, net = make_net(spatial_index=False)
-    assert net.spatial is None
-    a = Node(sim, "a", position=(0.0, 0.0))
-    b = Node(sim, "b", position=(500.0, 0.0))
-    net.attach(a)
-    net.attach(b)
-    assert net.neighbors(a) == [b]
-
-
 # ----------------------------------------------------------------------
 # The acceptance bar: a full Table I trial is byte-identical on/off
 # ----------------------------------------------------------------------
-def _trial_fingerprint(channel):
+def _trial_fingerprint():
     from repro.experiments.config import TrialConfig
     from repro.experiments.trial import run_trial
 
-    result = run_trial(TrialConfig(seed=11, channel=channel))
+    result = run_trial(TrialConfig(seed=11))
     return (
         repr(result.records),
         repr(result.outcome),
@@ -271,7 +259,9 @@ def _trial_fingerprint(channel):
     )
 
 
-def test_table1_trial_byte_identical_with_index_on_and_off():
-    with_grid = _trial_fingerprint(None)  # defaults: index on
-    without_grid = _trial_fingerprint(ChannelConfig(spatial_index=False))
+def test_table1_trial_byte_identical_with_index_on_and_off(monkeypatch):
+    with_grid = _trial_fingerprint()
+    for name, function in BRUTE_FORCE.items():
+        monkeypatch.setattr(Network, name, function)
+    without_grid = _trial_fingerprint()
     assert with_grid == without_grid

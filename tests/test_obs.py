@@ -20,6 +20,7 @@ from repro.obs import (
     TraceCollector,
     TraceEvent,
     TraceFilter,
+    render_sequence,
 )
 from repro.sim import Simulator
 
@@ -190,6 +191,81 @@ def test_jsonl_round_trip(tmp_path):
     restored = TraceCollector.read_jsonl(path)
     assert restored == trace.events
     assert all(isinstance(event, TraceEvent) for event in restored)
+
+
+# ----------------------------------------------------------------------
+# Sequence diagrams
+# ----------------------------------------------------------------------
+def _sent(time, src, dst, packet_kind, kind="net.send"):
+    return TraceEvent(time, src, kind, packet_kind=packet_kind, src=src, dst=dst)
+
+
+def test_render_draws_arrows_and_labels():
+    events = [
+        _sent(1.0, "a", "b", "RouteRequest"),
+        _sent(2.0, "b", "a", "RouteReply"),
+        _sent(3.0, "a", "c", "DetectionForward", kind="net.backbone_send"),
+    ]
+    diagram = render_sequence(events, ["a", "b", "c"])
+    lines = diagram.splitlines()
+    assert lines[0].split() == ["t(s)", "a", "b", "c"]
+    assert "RREQ" in lines[1] and ">" in lines[1]
+    assert "RREP" in lines[2] and "<" in lines[2]
+    assert "fwd" in lines[3] and "=" in lines[3]
+
+
+def test_render_broadcast_and_unknown_endpoints():
+    events = [
+        _sent(1.0, "a", "*", "MemberWarning"),
+        _sent(2.0, "stranger", "b", "RouteReply"),  # skipped
+        _sent(3.0, "a", "stranger", "RouteReply"),  # skipped
+    ]
+    diagram = render_sequence(events, ["a", "b"])
+    lines = diagram.splitlines()
+    assert len(lines) == 2  # header + the broadcast only
+    assert "warn*" in lines[1]
+
+
+def test_render_custom_labels():
+    events = [_sent(1.0, "pid-x", "pid-y", "SecureHello")]
+    diagram = render_sequence(
+        events, ["pid-x", "pid-y"], labels={"pid-x": "src", "pid-y": "dst"}
+    )
+    header = diagram.splitlines()[0]
+    assert "src" in header and "dst" in header
+    assert "pid-x" not in header
+
+
+def test_render_validation():
+    with pytest.raises(ValueError):
+        render_sequence([], [])
+
+
+def test_render_skips_records_other_than_sends():
+    events = [
+        _sent(1.0, "a", "b", "RouteRequest", kind="net.deliver"),
+        _sent(2.0, "a", "b", "RouteReply", kind="aodv.rrep_tx"),
+    ]
+    assert render_sequence(events, ["a", "b"]).count("\n") == 0
+
+
+def test_render_live_trace_draws_radio_and_wire():
+    from repro.net import Network, Node, Packet
+
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    a = Node(sim, "a", position=(0, 0))
+    b = Node(sim, "b", position=(500, 0))
+    net.attach(a)
+    net.attach(b)
+    net.connect_backbone(a, b)
+    trace = sim.obs.enable_trace()
+    a.send(Packet(src="a", dst="b"))
+    net.transmit_backbone(a, Packet(src="a", dst="b"))
+    sim.run()
+    rows = render_sequence(trace.events, ["a", "b"]).splitlines()[1:]
+    assert len(rows) == 2
+    assert "-->" in rows[0] and "==>" in rows[1]
 
 
 # ----------------------------------------------------------------------

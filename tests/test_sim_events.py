@@ -108,6 +108,16 @@ def test_cancel_after_clear_keeps_live_count():
     assert q.pop() is not None
 
 
+def test_cancel_after_fire_does_not_corrupt_live_count():
+    q = EventQueue()
+    fired = q.push(1.0, (lambda: None))
+    q.push(2.0, (lambda: None))
+    assert q.pop() is fired
+    fired.cancel()  # late cancel of an already-fired event
+    assert len(q) == 1  # the pending event is still accounted live
+    assert q.pop() is not None
+
+
 def test_event_args_passed_to_action():
     q = EventQueue()
     hits = []

@@ -14,6 +14,7 @@ import pytest
 from repro.sim import Simulator, Timer
 from repro.sim.events import EventQueue
 from repro.sim.wheel import TimerWheel
+from tests.helpers import refuse_wheel_insert
 
 
 def drain(queue):
@@ -106,8 +107,9 @@ def test_prune_drops_corpses_in_near_and_far_buckets():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_randomised_schedule_matches_plain_heap(seed):
-    """Property: wheel-backed pop order == heap-only pop order.
+def test_randomised_schedule_matches_plain_heap(monkeypatch, seed):
+    """Property: wheel-backed pop order == heap-only pop order (the
+    reference queue's wheel refuses every entry).
 
     Random times (with deliberate ties), priorities, wheel/heap mix,
     cancels of not-yet-fired events, and inserts performed mid-drain so
@@ -156,7 +158,9 @@ def test_randomised_schedule_matches_plain_heap(seed):
             popped.append((event.time, event.priority, event.label))
         return popped
 
-    plain = execute(EventQueue(), random.Random(seed + 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(TimerWheel, "insert", refuse_wheel_insert)
+        plain = execute(EventQueue(), random.Random(seed + 1))
     wheeled = execute(
         EventQueue(wheel=TimerWheel(granularity=0.5, num_slots=8)),
         random.Random(seed + 1),

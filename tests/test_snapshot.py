@@ -84,6 +84,18 @@ def test_restore_rejects_other_schema(monkeypatch):
         restore(blob)
 
 
+def test_restore_rejects_schema_2_blobs(monkeypatch):
+    """Schema 2 pickled event queues with an event freelist; this build
+    must refuse such blobs instead of unpickling stale queue state."""
+    world = build_world(seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "SNAPSHOT_SCHEMA", 2)
+        blob = snapshot(world)
+    assert snapshot_info(blob).schema == 2
+    with pytest.raises(SnapshotSchemaError):
+        restore(blob)
+
+
 def test_restore_rejects_bad_magic_and_truncation():
     world = build_world(seed=3)
     blob = snapshot(world)

@@ -12,7 +12,12 @@ a stale-schema rejection.
 """
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +78,51 @@ def test_restore_then_run_matches_straight_run(attack, cluster, pause):
 
     assert result_bytes(resumed) == result_bytes(straight)
     assert resumed.metrics == straight.metrics
+
+
+# Hash seeds under which the cooperative pause at 2.0 s once pickled the
+# attacker pseudonym set in a different order after restore.
+ORDER_SENSITIVE_HASH_SEEDS = ("26", "43", "44")
+
+
+@pytest.mark.parametrize("hash_seed", ORDER_SENSITIVE_HASH_SEEDS)
+def test_restored_address_sets_pickle_identically_under_hash_seed(hash_seed):
+    """A set's iteration order depends on the string hash seed and on
+    its insertion history, and unpickling rebuilds a set with a fresh
+    history.  The restored trial must still pickle byte-for-byte like
+    the straight run, whatever the hash seed of the process."""
+    script = textwrap.dedent(
+        """
+        import pickle
+        from repro.experiments.config import ATTACK_COOPERATIVE, TrialConfig
+        from repro.experiments.trial import TrialSession, begin_trial, run_trial
+
+        def result_bytes(result):
+            payload = {k: v for k, v in vars(result).items() if k != "profile"}
+            return pickle.dumps(payload, protocol=4)
+
+        config = TrialConfig(seed=42, attack=ATTACK_COOPERATIVE,
+                             attacker_cluster=8, metrics=True)
+        straight = run_trial(config)
+        session = begin_trial(config)
+        session.run_to(2.0)
+        resumed = TrialSession.restore(session.snapshot()).finish()
+        assert result_bytes(resumed) == result_bytes(straight), "bytes differ"
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = str(
+        Path(__file__).resolve().parents[1] / "src"
+    ) + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_snapshot_header_carries_trial_metadata():
