@@ -31,9 +31,20 @@ import time
 from repro.experiments.config import ATTACK_TYPES, TableIConfig
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for count flags: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes (1 = in-process; output is identical)",
     )
     parser.add_argument(
@@ -501,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table1", help="print Table I").set_defaults(func=_cmd_table1)
     figure4 = sub.add_parser("figure4", help="regenerate Figure 4")
-    figure4.add_argument("--trials", type=int, default=150)
+    figure4.add_argument("--trials", type=_positive_int, default=150)
     figure4.add_argument("--attacks", default="single,cooperative")
     _add_parallel_args(figure4)
     figure4.set_defaults(func=_cmd_figure4)
@@ -518,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         "report", help="run everything, write report.md + CSVs"
     )
     report.add_argument("--out", default="report")
-    report.add_argument("--trials", type=int, default=20)
+    report.add_argument("--trials", type=_positive_int, default=20)
     _add_parallel_args(report)
     report.set_defaults(func=_cmd_report)
     arena = sub.add_parser(
@@ -538,13 +549,13 @@ def main(argv: list[str] | None = None) -> int:
         default="examiner,dri,sequence,peak,static,trust,naive,sketch",
         help="comma-separated detector roster (matrix columns)",
     )
-    arena.add_argument("--trials", type=int, default=3, metavar="N")
+    arena.add_argument("--trials", type=_positive_int, default=3, metavar="N")
     arena.add_argument("--base-seed", type=int, default=1)
     arena.add_argument(
         "--cluster", type=int, default=5, help="attacker placement cluster"
     )
     arena.add_argument(
-        "--vehicles", type=int, default=None, metavar="N",
+        "--vehicles", type=_positive_int, default=None, metavar="N",
         help="shrink the Table I world (default: paper-scale; smoke: 20)",
     )
     arena.add_argument(
@@ -555,8 +566,8 @@ def main(argv: list[str] | None = None) -> int:
     arena.add_argument(
         "--csv", metavar="PATH", default=None, help="write per-cell CSV"
     )
-    arena.add_argument("--jobs", type=int, default=1, metavar="N")
-    arena.add_argument("--batch", type=int, default=50, metavar="N")
+    arena.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
+    arena.add_argument("--batch", type=_positive_int, default=50, metavar="N")
     arena.set_defaults(func=_cmd_arena)
     campaign = sub.add_parser(
         "campaign", help="resumable sweeps with an on-disk run ledger"
@@ -567,18 +578,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     campaign_run.add_argument("--dir", required=True, metavar="DIR")
     campaign_run.add_argument("--name", default="figure4")
-    campaign_run.add_argument("--trials", type=int, default=150)
+    campaign_run.add_argument("--trials", type=_positive_int, default=150)
     campaign_run.add_argument("--attacks", default="single,cooperative")
     campaign_run.add_argument("--base-seed", type=int, default=1000)
-    campaign_run.add_argument("--jobs", type=int, default=1, metavar="N")
-    campaign_run.add_argument("--batch", type=int, default=50, metavar="N")
+    campaign_run.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
+    campaign_run.add_argument("--batch", type=_positive_int, default=50, metavar="N")
     campaign_run.set_defaults(func=_cmd_campaign_run)
     campaign_resume = campaign_sub.add_parser(
         "resume", help="continue an interrupted campaign without recomputing"
     )
     campaign_resume.add_argument("--dir", required=True, metavar="DIR")
-    campaign_resume.add_argument("--jobs", type=int, default=1, metavar="N")
-    campaign_resume.add_argument("--batch", type=int, default=50, metavar="N")
+    campaign_resume.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
+    campaign_resume.add_argument("--batch", type=_positive_int, default=50, metavar="N")
     campaign_resume.set_defaults(func=_cmd_campaign_resume)
     for streaming in (campaign_run, campaign_resume):
         streaming.add_argument(
@@ -616,14 +627,14 @@ def main(argv: list[str] | None = None) -> int:
     flood = sub.add_parser(
         "flood", help="RREQ-flood detection sweep (sketch monitors)"
     )
-    flood.add_argument("--trials", type=int, default=5)
+    flood.add_argument("--trials", type=_positive_int, default=5)
     flood.add_argument(
         "--variants", default="constant,bursty,rotating",
         help="comma-separated flood variants to sweep",
     )
     flood.add_argument("--rate", type=float, default=50.0)
-    flood.add_argument("--vehicles", type=int, default=60)
-    flood.add_argument("--flooders", type=int, default=1)
+    flood.add_argument("--vehicles", type=_positive_int, default=60)
+    flood.add_argument("--flooders", type=_positive_int, default=1)
     flood.add_argument("--seed", type=int, default=9000)
     _add_parallel_args(flood)
     flood.set_defaults(func=_cmd_flood)

@@ -85,6 +85,8 @@ def run_flood_sweep(
     parallel: TrialExecutor | None = None,
 ) -> FloodSweepResult:
     """Run ``trials`` seeded trials per variant and aggregate."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     for variant in variants:
         if variant not in FLOOD_VARIANTS:
             raise ValueError(f"unknown flood variant {variant!r}")

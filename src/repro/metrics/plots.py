@@ -1,6 +1,6 @@
 """Terminal rendering of experiment series: bar charts and line plots.
 
-The benchmark harness prints the same rows/series the paper plots; these
+The experiment drivers print the same rows/series the paper plots; these
 helpers turn them into readable ASCII figures so a terminal run shows
 the *shape* at a glance (where accuracy drops, where bands sit).
 """

@@ -261,6 +261,7 @@ def test_aggregate_matrix_zips_unit_order(tmp_path):
     again = aggregate_matrix(campaign.manifest["spec"], campaign.results())
     assert again == cells
     assert [c.attack for c in cells] == ["wormhole", "adaptive"]
+    assert all(cell.false_positive_rate == 0.0 for cell in cells)
 
 
 # ----------------------------------------------------------------------

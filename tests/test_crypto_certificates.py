@@ -202,17 +202,6 @@ def test_revocation_invalidates_cached_signature():
     assert signature_cache.misses == 2
 
 
-def test_signature_cache_disabled_still_verifies():
-    net, ta = make_network()
-    cert = ta.enroll("car-1", now=0.0).certificate
-    cache = SignatureCache()
-    cache.enabled = False
-    assert cache.verify(net.public_key, cert.signed_payload(), cert.signature)
-    assert not cache.verify(net.public_key, cert.signed_payload(), b"\x00" * 32)
-    assert cache.hits == cache.misses == 0
-    assert len(cache) == 0
-
-
 def test_signature_cache_lru_eviction():
     net, ta = make_network()
     cache = SignatureCache(maxsize=2)

@@ -16,7 +16,7 @@ from repro.experiments.executor import (
     summarize_trial,
     trial_cache_key,
 )
-from repro.experiments.figure4 import accumulate_point
+from repro.experiments.figure4 import accumulate_point, run_figure4
 from repro.experiments.trial import run_trial
 from repro.obs import MetricsRegistry
 
@@ -128,6 +128,18 @@ def test_parallel_results_identical_to_serial():
     serial = TrialExecutor(jobs=1).run_trials(configs)
     parallel = TrialExecutor(jobs=2, chunk_size=2).run_trials(configs)
     assert parallel == serial
+
+
+def test_figure4_rows_identical_serial_parallel_and_cached(tmp_path):
+    kwargs = dict(trials=3, attacks=("single",), clusters=(2, 9), table=SMALL)
+    serial = run_figure4(**kwargs)
+    assert run_figure4(parallel=TrialExecutor(jobs=2), **kwargs) == serial
+    cold = TrialExecutor(jobs=2, cache_dir=tmp_path)
+    assert run_figure4(parallel=cold, **kwargs) == serial
+    warm = TrialExecutor(jobs=1, cache_dir=tmp_path)
+    assert run_figure4(parallel=warm, **kwargs) == serial
+    assert warm.stats.cache_hits == 6
+    assert warm.stats.cache_misses == 0
 
 
 def test_map_preserves_submission_order():

@@ -6,7 +6,13 @@ from repro.experiments import TableIConfig, TrialConfig, run_trial
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.figure4 import check_expected_shape, run_figure4
 from repro.experiments.figure5 import bands, run_figure5
+from repro.experiments.sweeps import (
+    run_baseline_comparison,
+    run_overhead_sweep,
+    run_probe_ablation,
+)
 from repro.experiments.trial import choose_destination_cluster, sample_policy
+from repro.experiments.world import build_world
 from repro.attacks import AttackerPolicy
 from repro.sim import Simulator
 
@@ -23,6 +29,20 @@ def test_table1_matches_paper():
     assert table.renewal_zone == (8, 9, 10)
     assert table.trials == 150
     assert len(table.rows()) == 7
+
+
+def test_table1_world_stands_up_as_configured():
+    table = TableIConfig()
+    world = build_world(seed=1, highway=table.make_highway())
+    world.populate(table.num_vehicles)
+    world.sim.run(until=1.0)
+    assert len(world.rsus) == 10
+    assert len(world.vehicles) == 100
+    assert world.highway.length == 10_000.0
+    assert world.highway.width == 200.0
+    assert world.highway.cluster_length == 1000.0
+    assert all(v.transmission_range == 1000.0 for v in world.vehicles)
+    assert all(v.current_cluster is not None for v in world.vehicles)
 
 
 def test_trial_config_validation():
@@ -165,3 +185,60 @@ def test_cli_figure5(capsys):
 
 def test_cli_rejects_unknown_attack(capsys):
     assert cli_main(["figure4", "--attacks", "rushing"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure4", "--trials", "0"],
+        ["figure5", "--jobs", "0"],
+        ["figure5", "--cache-dir", "unused-cache", "--jobs", "0"],
+        ["report", "--out", "unused-report", "--trials", "0"],
+        ["arena", "--smoke", "--jobs", "0"],
+        ["arena", "--smoke", "--batch", "0"],
+        ["arena", "--smoke", "--vehicles", "0"],
+        ["arena", "--trials", "-1"],
+        ["campaign", "run", "--dir", "unused-ledger", "--trials", "0"],
+        ["campaign", "resume", "--dir", "unused-ledger", "--batch", "0"],
+        ["flood", "--trials", "0"],
+        ["flood", "--vehicles", "0"],
+        ["flood", "--flooders", "0"],
+    ],
+    ids=" ".join,
+)
+def test_cli_count_flags_reject_non_positive_values(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    flag, value = argv[-2:]
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be at least 1, got {value}"
+    )
+
+
+# ----------------------------------------------------------------------
+# Ablations A-C
+# ----------------------------------------------------------------------
+def test_ablation_a_who_catches_which_attacker():
+    detected_by = {row.scenario: row.detected_by for row in run_baseline_comparison()}
+    assert all(detected_by["multi-replier"].values())
+    assert detected_by["single-replier"]["blackdp"]
+    assert not detected_by["single-replier"]["jaiswal-compare"]
+    for scenario, only in (
+        ("modest-seq", "blackdp"),
+        ("cooperative-teammate", "blackdp(teammate)"),
+    ):
+        assert [m for m, hit in detected_by[scenario].items() if hit] == [only]
+
+
+def test_ablation_b_fake_destination_probe_spares_honest_cachers():
+    result = run_probe_ablation()
+    assert (result.naive_true_positives, result.naive_false_positives) == (3, 5)
+    assert (result.blackdp_true_positives, result.blackdp_false_positives) == (3, 0)
+
+
+def test_ablation_c_detection_cost_independent_of_density():
+    rows = run_overhead_sweep(densities=(25, 50, 100, 200))
+    assert [row.vehicles for row in rows] == [25, 50, 100, 200]
+    assert [row.detection_packets for row in rows] == [6, 6, 6, 6]
+    assert all(row.detection_latency < 5.0 for row in rows)

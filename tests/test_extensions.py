@@ -162,11 +162,11 @@ def test_conviction_flushes_poisoned_caches_network_wide():
 # ----------------------------------------------------------------------
 # PDR experiment
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def pdr_rows():
+@pytest.fixture(scope="module", params=[20, 40], ids=lambda n: f"{n}pkts")
+def pdr_rows(request):
     from repro.experiments.pdr import run_pdr
 
-    return run_pdr(packets=20)
+    return run_pdr(packets=request.param)
 
 
 def test_pdr_blackdp_recovers_routing_attacks(pdr_rows):

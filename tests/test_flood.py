@@ -146,6 +146,12 @@ def test_flood_sweep_rejects_unknown_variant():
         run_flood_sweep(trials=1, variants=("strobe",))
 
 
+def test_flood_sweep_rejects_zero_trials():
+    # Zero rows would make the sweep verdict a vacuous "clean".
+    with pytest.raises(ValueError, match="trials"):
+        run_flood_sweep(trials=0, variants=("constant",))
+
+
 # ----------------------------------------------------------------------
 # Scenario files
 # ----------------------------------------------------------------------

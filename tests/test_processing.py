@@ -105,11 +105,17 @@ def test_detection_still_correct_under_processing_delay():
 def test_congestion_sweep_shape():
     from repro.experiments.congestion import run_congestion_sweep
 
-    rows = run_congestion_sweep(bursts=(1, 10))
+    bursts = (1, 5, 10, 15, 30)
+    rows = run_congestion_sweep(bursts=bursts)
     cells = {(row.fog, row.reports): row for row in rows}
-    # Without fog, a 10-report burst is clearly slower than a single one.
+    # Without fog, a 10-report burst is clearly slower than a single one,
+    # and latency keeps growing with the burst.
     assert cells[(False, 10)].mean_latency > cells[(False, 1)].mean_latency * 2
-    # With fog, the burst barely moves the mean.
+    no_fog = [cells[(False, burst)].mean_latency for burst in bursts]
+    assert all(smaller < larger for smaller, larger in zip(no_fog, no_fog[1:]))
+    # With fog, the burst barely moves the mean: it plateaus.
     assert cells[(True, 10)].mean_latency < cells[(False, 10)].mean_latency
     assert cells[(True, 10)].offloaded > 0
     assert cells[(True, 10)].max_queue <= 4
+    assert cells[(True, 30)].mean_latency < cells[(False, 30)].mean_latency / 2
+    assert cells[(True, 30)].mean_latency < cells[(True, 5)].mean_latency * 2

@@ -302,6 +302,19 @@ def test_monitor_epoch_rotation_folds_into_totals():
     assert monitor.rreq_rate("v1") == 1.0  # cumulative query spans both
 
 
+def test_monitor_state_bounded_by_capacity_not_origin_count():
+    sim, monitor = make_monitor()
+    capacity = monitor.config.heavy_hitter_capacity
+    for epoch in range(3):  # 600 distinct origins over three epochs
+        for index in range(200):
+            origin = f"v{200 * epoch + index}"
+            monitor._on_overhear(_rreq(origin, 0), origin, "*")
+        assert len(monitor.epoch_origins) == capacity
+        sim.run(until=epoch + 1.5)  # rotate into the cumulative summary
+        assert len(monitor.total_origins) == capacity
+    assert monitor.packets_seen == 600
+
+
 def test_monitor_stop_detaches_tap_and_epoch_clock():
     sim, monitor = make_monitor()
     monitor.stop()

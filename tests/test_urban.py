@@ -200,8 +200,9 @@ def test_urban_detection_end_to_end():
 def test_urban_density_sweep_shape():
     from repro.experiments.urban import run_urban_density_sweep
 
-    rows = run_urban_density_sweep(spacings=(2, 4), seed=3)
+    rows = run_urban_density_sweep(spacings=(1, 2, 4), seed=3)
     by_spacing = {row.rsu_spacing: row for row in rows}
+    assert by_spacing[1].detected and not by_spacing[1].false_positive
     dense = by_spacing[2]
     sparse = by_spacing[4]
     assert dense.coverage_fraction == 1.0
