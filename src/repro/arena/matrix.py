@@ -10,7 +10,8 @@ the pairing on four axes:
 - **honest FP rate** — trials in which any honest pseudonym was
   convicted;
 - **median time-to-isolation** — suspicion → final revocation
-  propagation, over detected trials (reconstructed from the trace);
+  propagation, over detected trials (reconstructed from the detection
+  kinds of the trace);
 - **overhead** — mean whole-trial radio+backbone packets and radio
   bytes, the cost axis detectors trade against.
 
@@ -33,6 +34,7 @@ from repro.arena.base import ArenaConfig
 from repro.experiments.campaign import DEFAULT_BATCH, Campaign
 from repro.experiments.config import TableIConfig, TrialConfig, point_seed
 from repro.net import ChannelConfig
+from repro.obs import DETECTION_KINDS
 
 #: Attacker families the full matrix sweeps (rows).
 DEFAULT_ATTACKS = (
@@ -69,11 +71,13 @@ def cell_configs(
 ) -> list[TrialConfig]:
     """The seeded trial configs of one ``attack × detector`` cell.
 
-    Trace is on (timelines feed the time-to-isolation column) and the
-    channel accounts bytes (the overhead column); both are constant
-    across the matrix so no cell pays a cost another doesn't.
-    ``num_vehicles`` shrinks the Table I world — smoke runs and tests
-    use 20-vehicle worlds that finish in milliseconds.
+    Trace captures only :data:`~repro.obs.DETECTION_KINDS`: the
+    time-to-isolation column reads nothing else, and leaving the
+    per-packet ``net.*`` records out keeps the medium on its obs-dark
+    fast path.  The channel accounts bytes (the overhead column).  Both
+    are constant across the matrix so no cell pays a cost another
+    doesn't.  ``num_vehicles`` shrinks the Table I world — smoke runs
+    and tests use 20-vehicle worlds that finish in milliseconds.
     """
     table = (
         TableIConfig() if num_vehicles is None
@@ -88,7 +92,7 @@ def cell_configs(
             attacker_cluster=attacker_cluster,
             table=table,
             arena=ArenaConfig(detectors=(detector,)),
-            trace=True,
+            trace=DETECTION_KINDS,
             channel=ChannelConfig(account_bytes=True),
         )
         for index in range(trials)

@@ -484,11 +484,7 @@ class DetectionService:
                 cluster=self.rsu.cluster_index,
                 verdict=verdict,
             ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
-                self.rsu.node_id, "exam.verdict",
-                cause=f"suspect:{case.suspect}", detail=verdict,
-            )
+        self._trace_verdict(case.suspect, verdict)
         reporter, reporter_cluster = case.reporters[0]
         self._send_result_to(
             reporter, reporter_cluster, case.suspect, verdict, case.cooperative_with
@@ -516,6 +512,15 @@ class DetectionService:
                 breakdown=list(case.ledger.breakdown),
             )
         )
+
+    def _trace_verdict(self, suspect: str, verdict: str) -> None:
+        """The ``exam.verdict`` record that detection timelines read."""
+        trace = self.sim.obs.trace
+        if trace is not None:
+            trace.emit(
+                self.rsu.node_id, "exam.verdict",
+                cause=f"suspect:{suspect}", detail=verdict,
+            )
 
     def _release_alias(self, case: _ExamCase) -> None:
         if case.alias and self.rsu.network is not None:
@@ -600,6 +605,7 @@ class DetectionService:
         case.closed = True
         case.verdict = VERDICT_GRAY_HOLE
         self.verification_table[suspect] = case
+        self._trace_verdict(suspect, VERDICT_GRAY_HOLE)
         self._isolate(case)
         record = DetectionRecord(
             suspect=suspect,
@@ -642,6 +648,7 @@ class DetectionService:
         case.closed = True
         case.verdict = VERDICT_FLOODER
         self.verification_table[suspect] = case
+        self._trace_verdict(suspect, VERDICT_FLOODER)
         self._isolate(case)
         record = DetectionRecord(
             suspect=suspect,
@@ -662,9 +669,9 @@ class DetectionService:
 
         Generic entry point for pluggable detectors (``repro.arena``):
         like flooder/watchdog convictions there is no probe ledger, only
-        the detector's evidence string; unlike them the verdict string is
-        caller-supplied and an ``exam.verdict`` trace event is emitted so
-        detection timelines reconstruct for these convictions too.
+        the detector's evidence string, and an ``exam.verdict`` trace
+        event is emitted so detection timelines reconstruct; unlike them
+        the verdict string is caller-supplied.
         """
         existing = self.verification_table.get(suspect)
         if existing is not None and existing.closed:
@@ -692,11 +699,7 @@ class DetectionService:
                 cluster=self.rsu.cluster_index,
                 verdict=verdict,
             ).inc()
-        if obs.trace is not None:
-            obs.trace.emit(
-                self.rsu.node_id, "exam.verdict",
-                cause=f"suspect:{suspect}", detail=verdict,
-            )
+        self._trace_verdict(suspect, verdict)
         self._isolate(case)
         record = DetectionRecord(
             suspect=suspect,

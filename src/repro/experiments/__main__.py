@@ -244,6 +244,11 @@ def _cmd_trial(args: argparse.Namespace) -> int:
                 print(f"cannot write trace: {error}", file=sys.stderr)
                 return 2
             print(f"\ntrace: {len(result.trace_events)} events -> {args.trace}")
+            if result.trace_dropped:
+                print(
+                    f"trace: {result.trace_dropped} events dropped past "
+                    f"capacity; the trace and timelines are truncated"
+                )
         if result.timelines:
             from repro.obs import format_timelines
 

@@ -137,7 +137,9 @@ class TrialConfig:
     warmup: float = 1.0
     #: observability switches (all off by default; see :mod:`repro.obs`)
     metrics: bool = False
-    trace: bool = False
+    #: ``True`` captures every trace kind; a tuple of kind prefixes
+    #: (e.g. :data:`repro.obs.DETECTION_KINDS`) captures only those
+    trace: bool | tuple[str, ...] = False
     profile: bool = False
     #: sample the metrics registry into per-metric time series at this
     #: virtual-time cadence (seconds); 0 disables.  Implies ``metrics``.
@@ -158,3 +160,8 @@ class TrialConfig:
             )
         if self.num_flooders < 1:
             raise ValueError("num_flooders must be at least 1")
+        if not isinstance(self.trace, (bool, tuple)):
+            raise ValueError(
+                f"trace must be a bool or a tuple of kind prefixes, "
+                f"got {self.trace!r}"
+            )

@@ -20,6 +20,7 @@ from repro.obs import (
     DetectionTimeline,
     ProfileReport,
     TraceEvent,
+    TraceFilter,
     reconstruct_timelines,
 )
 from repro.experiments.config import (
@@ -63,6 +64,10 @@ class TrialResult:
     metrics: dict | None = None
     #: populated when :attr:`TrialConfig.trace` is set
     trace_events: list[TraceEvent] | None = None
+    #: admitted trace records dropped past the collector's capacity;
+    #: nonzero means :attr:`trace_events` and :attr:`timelines` are
+    #: truncated
+    trace_dropped: int = 0
     #: populated when :attr:`TrialConfig.profile` is set
     profile: ProfileReport | None = None
     #: populated when :attr:`TrialConfig.sample_interval` > 0: columnar
@@ -372,6 +377,7 @@ class TrialSession:
             result.metrics = obs.metrics.snapshot()
         if obs.trace is not None:
             result.trace_events = list(obs.trace.events)
+            result.trace_dropped = obs.trace.dropped
             result.timelines = reconstruct_timelines(result.trace_events)
         if obs.profiler is not None:
             result.profile = obs.profiler.report()
@@ -389,8 +395,10 @@ def begin_trial(config: TrialConfig) -> TrialSession:
     obs = world.sim.obs
     if config.metrics:
         obs.enable_metrics()
-    if config.trace:
+    if config.trace is True:
         obs.enable_trace()
+    elif config.trace:
+        obs.enable_trace(trace_filter=TraceFilter(kind_prefixes=config.trace))
     if config.profile:
         obs.enable_profiler()
     if config.sample_interval > 0:

@@ -384,8 +384,9 @@ class Network:
         obs = self.sim.obs
         if obs.metrics is not None:
             obs.metrics.counter("net.dropped", cause=cause, kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(sender.node_id, "net.drop", packet, detail=cause)
+        trace = obs.trace
+        if trace is not None and trace.records_net:
+            trace.emit(sender.node_id, "net.drop", packet, detail=cause)
 
     def transmit(self, sender: Node, packet: Packet) -> None:
         """Send ``packet``; broadcast fans out to all in-range nodes."""
@@ -400,8 +401,9 @@ class Network:
         obs = self.sim.obs
         if obs.metrics is not None:
             obs.metrics.counter("net.sent", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(sender.node_id, "net.send", packet)
+        trace = obs.trace
+        if trace is not None and trace.records_net:
+            trace.emit(sender.node_id, "net.send", packet)
         if self._monitors:
             self._overhear(sender, packet)
         if packet.dst == BROADCAST:
@@ -521,8 +523,12 @@ class Network:
         # identical to per-receiver delivery.
         stats = self.stats
         obs = self.sim.obs
-        if obs.metrics is None and obs.trace is None:
-            # Observability dark (the profiled/production default): the
+        trace = obs.trace
+        if trace is not None and not trace.records_net:
+            trace = None
+        if obs.metrics is None and trace is None:
+            # Observability dark for the medium (the profiled/production
+            # default, and a trace that records no ``net.*`` kind): the
             # loop is just accounting plus dispatch, with the body of
             # Node.on_receive inlined — the broadcast fan-out delivers
             # the same packet type to every receiver, so the type lookup
@@ -550,7 +556,6 @@ class Network:
             if obs.metrics is not None
             else None
         )
-        trace = obs.trace
         for receiver in receivers:
             if receiver.network is not self:
                 continue
@@ -590,8 +595,9 @@ class Network:
         obs = self.sim.obs
         if obs.metrics is not None:
             obs.metrics.counter("net.delivered", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(receiver.node_id, "net.deliver", packet)
+        trace = obs.trace
+        if trace is not None and trace.records_net:
+            trace.emit(receiver.node_id, "net.deliver", packet)
         receiver.on_receive(packet, sender_address)
 
     # ------------------------------------------------------------------
@@ -632,8 +638,9 @@ class Network:
         obs = self.sim.obs
         if obs.metrics is not None:
             obs.metrics.counter("net.backbone_sent", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(sender.node_id, "net.backbone_send", packet)
+        trace = obs.trace
+        if trace is not None and trace.records_net:
+            trace.emit(sender.node_id, "net.backbone_send", packet)
         delay = max(1, hops) * self.config.wired_hop_delay
         self.sim.schedule(
             delay,
@@ -652,6 +659,7 @@ class Network:
         obs = self.sim.obs
         if obs.metrics is not None:
             obs.metrics.counter("net.backbone_delivered", kind=packet.kind).inc()
-        if obs.trace is not None:
-            obs.trace.emit(receiver.node_id, "net.backbone_deliver", packet)
+        trace = obs.trace
+        if trace is not None and trace.records_net:
+            trace.emit(receiver.node_id, "net.backbone_deliver", packet)
         receiver.on_receive(packet, sender_address)

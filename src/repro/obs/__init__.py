@@ -38,6 +38,7 @@ from repro.obs.metrics import (
 from repro.obs.profiler import LabelCost, ProfileReport, RunProfiler
 from repro.obs.timeline import (
     CONVICTING_VERDICTS,
+    DETECTION_KINDS,
     DetectionTimeline,
     TimelineStats,
     format_timelines,
@@ -123,6 +124,7 @@ class Observability:
 
 __all__ = [
     "CONVICTING_VERDICTS",
+    "DETECTION_KINDS",
     "DetectionTimeline",
     "LabelCost",
     "MetricCounter",

@@ -30,6 +30,12 @@ from typing import Iterable
 
 from repro.obs.trace import TraceEvent
 
+#: Kind prefixes of every record :func:`reconstruct_timelines` reads:
+#: each suspect-tagged emit is a ``verify.*`` (vehicle side) or
+#: ``exam.*`` (examining RSU) kind, so a trace capturing only these
+#: reconstructs the same timelines as a full capture.
+DETECTION_KINDS = ("verify.", "exam.")
+
 #: Trace kinds that mark the verdict having reached another party.
 PROPAGATION_KINDS = ("exam.revoke", "exam.revoke_rx", "verify.blacklist")
 

@@ -65,22 +65,42 @@ class TraceEvent:
         return cls(**json.loads(line))
 
 
+#: The record kinds :mod:`repro.net` emits, one per medium call site.
+NET_KINDS = (
+    "net.send",
+    "net.deliver",
+    "net.drop",
+    "net.backbone_send",
+    "net.backbone_deliver",
+)
+
+
 @dataclass
 class TraceFilter:
-    """Optional admission rules for a collector."""
+    """Optional admission rules for a collector.
+
+    A kind is admitted when it is listed in ``kinds`` or starts with one
+    of ``kind_prefixes``; with neither set, every kind is.  ``nodes`` and
+    ``predicate`` then narrow by acting node and by whole record.
+    """
 
     kinds: set[str] | None = None
     kind_prefixes: tuple[str, ...] = ()
     nodes: set[str] | None = None
     predicate: Callable[[TraceEvent], bool] | None = None
 
+    def __post_init__(self) -> None:
+        self.kind_prefixes = tuple(self.kind_prefixes)
+
+    def admits_kind(self, kind: str) -> bool:
+        if self.kinds is not None and kind in self.kinds:
+            return True
+        if self.kind_prefixes:
+            return kind.startswith(self.kind_prefixes)
+        return self.kinds is None
+
     def admits(self, event: TraceEvent) -> bool:
-        if self.kinds is not None and event.kind not in self.kinds:
-            if not any(event.kind.startswith(p) for p in self.kind_prefixes):
-                return False
-        elif self.kind_prefixes and not any(
-            event.kind.startswith(p) for p in self.kind_prefixes
-        ):
+        if not self.admits_kind(event.kind):
             return False
         if self.nodes is not None and event.node not in self.nodes:
             return False
@@ -110,6 +130,12 @@ class TraceCollector:
         self.filter = trace_filter
         self.events: list[TraceEvent] = []
         self.dropped = 0
+        #: whether any :data:`NET_KINDS` record can be admitted; the
+        #: medium skips its per-packet emits (and keeps its obs-dark
+        #: fast path) when not
+        self.records_net = trace_filter is None or any(
+            map(trace_filter.admits_kind, NET_KINDS)
+        )
 
     # ------------------------------------------------------------------
     # Emission
@@ -124,7 +150,12 @@ class TraceCollector:
         detail: str = "",
     ) -> None:
         """Record one event; the packet's identity fields are captured
-        by value so later mutation/reuse cannot corrupt the trace."""
+        by value so later mutation/reuse cannot corrupt the trace.  A
+        kind the filter does not admit is rejected before any record is
+        built."""
+        trace_filter = self.filter
+        if trace_filter is not None and not trace_filter.admits_kind(kind):
+            return
         event = TraceEvent(
             time=self._simulator.now,
             node=node,
@@ -136,7 +167,7 @@ class TraceCollector:
             cause=cause,
             detail=detail,
         )
-        if self.filter is not None and not self.filter.admits(event):
+        if trace_filter is not None and not trace_filter.admits(event):
             return
         if len(self.events) >= self.capacity:
             self.dropped += 1
@@ -156,6 +187,7 @@ class TraceCollector:
         view.capacity = len(view.events)
         view.filter = None
         view.dropped = 0
+        view.records_net = True
         return view
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ draw nothing from the simulation RNG.
 from __future__ import annotations
 
 import zlib
+from itertools import compress
 
 __all__ = ["CountMinSketch", "SpaceSavingSummary"]
 
@@ -68,16 +69,24 @@ class CountMinSketch:
         """Fold ``other`` into this sketch (same dimensions and seed)."""
         if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
             raise ValueError("can only merge sketches with identical shape and seed")
+        # An epoch with no update leaves every row all zero: skip those
+        # rows (one C-level count each), and visit only the non-zero
+        # cells of the others, so the counters match a cell-by-cell fold.
+        width = self.width
+        cells = range(width)
         for mine, theirs in zip(self._rows, other._rows):
-            for index, value in enumerate(theirs):
-                if value:
-                    mine[index] += value
+            if theirs.count(0.0) != width:
+                for index in compress(cells, theirs):
+                    mine[index] += theirs[index]
         self.total += other.total
 
     def reset(self) -> None:
+        # No cell is ever -0.0 (sums onto a +0.0 cell cannot make one),
+        # so a row that counts as all zeros is already reset.
+        width = self.width
         for row in self._rows:
-            for index in range(self.width):
-                row[index] = 0.0
+            if row.count(0.0) != width:
+                row[:] = [0.0] * width
         self.total = 0.0
 
     @property

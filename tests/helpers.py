@@ -5,9 +5,11 @@ reaches its immediate neighbours — the standard multi-hop line topology
 for AODV tests.
 
 The reference paths are the straightforward implementations that the
-production hot paths must match exactly; golden-trace tests patch them
+production hot paths must match exactly.  Golden-trace tests patch them
 onto :class:`~repro.net.network.Network` (or a single instance, see
-:func:`patch_network`) and onto :class:`~repro.sim.wheel.TimerWheel`:
+:func:`patch_network`) and onto :class:`~repro.sim.wheel.TimerWheel`;
+the sketch property tests run them beside
+:class:`~repro.sketch.CountMinSketch`:
 
 - :data:`PER_RECEIVER` — one delivery event per broadcast receiver and
   one overhear event per monitor, instead of delivery trains and
@@ -15,7 +17,10 @@ onto :class:`~repro.net.network.Network` (or a single instance, see
 - :data:`BRUTE_FORCE` — O(N) neighbour scans and exact range checks,
   instead of the spatial grid;
 - :func:`refuse_wheel_insert` — a timer wheel that files nothing, so
-  every event goes through the heap.
+  every event goes through the heap;
+- :func:`cms_merge_cell_by_cell` and :func:`cms_reset_cell_by_cell` —
+  count-min merge and reset that visit every cell, instead of skipping
+  all-zero rows and zeroing each row by slice.
 """
 
 from __future__ import annotations
@@ -73,6 +78,27 @@ def brute_in_range(net, a, b):
 def refuse_wheel_insert(wheel, event):
     """A wheel that refuses every entry: the queue falls back to the heap."""
     return False
+
+
+def cms_merge_cell_by_cell(sketch, other):
+    """Fold ``other`` into ``sketch`` one cell at a time."""
+    if (sketch.width, sketch.depth, sketch.seed) != (
+        other.width, other.depth, other.seed
+    ):
+        raise ValueError("can only merge sketches with identical shape and seed")
+    for mine, theirs in zip(sketch._rows, other._rows):
+        for index, value in enumerate(theirs):
+            if value:
+                mine[index] += value
+    sketch.total += other.total
+
+
+def cms_reset_cell_by_cell(sketch):
+    """Zero every counter one cell at a time."""
+    for row in sketch._rows:
+        for index in range(sketch.width):
+            row[index] = 0.0
+    sketch.total = 0.0
 
 
 #: Network methods replaced by per-receiver delivery and overhearing

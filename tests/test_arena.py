@@ -17,6 +17,7 @@ All pins run in 20-vehicle worlds (the repo-wide fast-test convention)
 and were cross-checked against paper-scale runs.
 """
 
+import dataclasses
 import json
 import re
 
@@ -29,6 +30,7 @@ from repro.arena import (
     arena_csv,
     arena_spec,
     available_detectors,
+    cell_configs,
     expand_arena_spec,
     format_matrix,
     run_matrix,
@@ -40,7 +42,8 @@ from repro.experiments.executor import (
     summarize_trial,
     trial_cache_key,
 )
-from repro.experiments.trial import run_trial
+from repro.experiments.trial import begin_trial, run_trial
+from repro.obs import DETECTION_KINDS, TraceCollector
 
 #: Small world so each trial costs milliseconds, not a minute.
 SMALL = TableIConfig(num_vehicles=20)
@@ -53,17 +56,20 @@ PASSIVE = ArenaConfig(
 )
 
 
-def arena_trial(attack: str, detector: str, *, seed: int = 11, **kwargs):
-    return run_trial(
-        TrialConfig(
-            seed=seed,
-            attack=attack,
-            attacker_cluster=5,
-            table=SMALL,
-            arena=ArenaConfig(detectors=(detector,), **kwargs),
-            trace=True,
-        )
+def arena_config(attack: str, detector: str, *, seed: int = 11, **kwargs):
+    """One arena trial as the matrix runs it: detection-kinds capture."""
+    return TrialConfig(
+        seed=seed,
+        attack=attack,
+        attacker_cluster=5,
+        table=SMALL,
+        arena=ArenaConfig(detectors=(detector,), **kwargs),
+        trace=DETECTION_KINDS,
     )
+
+
+def arena_trial(attack: str, detector: str, *, seed: int = 11, **kwargs):
+    return run_trial(arena_config(attack, detector, seed=seed, **kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +151,17 @@ def test_single_black_hole_caught_by_threshold_and_trust():
 def test_flood_caught_by_sketch_monitors_only():
     # The RREQ flood never sends a route reply, so every reply-centric
     # detector is blind; the line-rate sketch monitors convict it.
-    result = arena_trial("flood", "sketch")
+    config = arena_config("flood", "sketch")
+    result = run_trial(config)
     assert result.detected
     assert not result.false_positive
+    # The conviction reads as a timeline: verdict, then isolation.
+    assert result.trace_dropped == 0
+    [timeline] = result.timelines
+    assert timeline.suspect in result.attacker_addresses
+    assert timeline.convicted and timeline.verdict == "rreq-flood"
+    assert timeline.time_to_isolation is not None
+    assert summarize_trial(config, result).time_to_isolation is not None
 
 
 def test_naive_prober_convicts_honest_cachers():
@@ -208,6 +222,96 @@ def test_passive_arena_preserves_golden_trace(attack):
     assert _normalized_trace(plain.trace_events) == _normalized_trace(
         observed.trace_events
     )
+
+
+# ----------------------------------------------------------------------
+# Detection-kinds capture: what the matrix records is all it reads
+# ----------------------------------------------------------------------
+
+
+#: Every e2e arena attack under the examiner pipeline and under an
+#: arena adapter that opens a detection case, plus the flood under the
+#: sketch monitors.
+CAPTURE_CELLS = [
+    (attack, detector)
+    for attack in ("single", "cooperative", "grayhole", "wormhole", "sybil")
+    for detector in ("examiner", "dri")
+] + [("adaptive", "examiner"), ("adaptive", "trust"), ("flood", "sketch")]
+
+
+@pytest.mark.parametrize("attack,detector", CAPTURE_CELLS)
+def test_detection_capture_matches_full_capture(attack, detector, monkeypatch):
+    [config] = cell_configs(attack, detector, base_seed=1, trials=1, num_vehicles=20)
+    assert config.trace == DETECTION_KINDS
+    if attack == "flood":
+        # A full capture of the whole 40 s flood overflows the collector
+        # (see test_trial_result_reports_trace_drops); 5 s still spans
+        # the verdict and its propagation.
+        config = dataclasses.replace(config, settle_time=5.0)
+    full_config = dataclasses.replace(config, trace=True)
+    full = run_trial(full_config)
+    assert full.trace_dropped == 0
+
+    kinds: list[str] = []
+    emit = TraceCollector.emit
+
+    def spy(self, node, kind, *args, **kwargs):
+        kinds.append(kind)
+        return emit(self, node, kind, *args, **kwargs)
+
+    monkeypatch.setattr(TraceCollector, "emit", spy)
+    narrow = run_trial(config)
+
+    # every record a timeline reads is a detection kind ...
+    suspect_kinds = {
+        e.kind for e in full.trace_events if e.cause.startswith("suspect:")
+    }
+    assert suspect_kinds
+    assert all(kind.startswith(DETECTION_KINDS) for kind in suspect_kinds)
+    # ... so capturing only those changes nothing the arena reports
+    assert narrow.timelines == full.timelines
+    assert summarize_trial(config, narrow) == summarize_trial(full_config, full)
+    assert _normalized_trace(narrow.trace_events) == _normalized_trace(
+        e for e in full.trace_events if e.kind.startswith(DETECTION_KINDS)
+    )
+    # and the medium never calls into the collector
+    assert kinds and not [kind for kind in kinds if kind.startswith("net.")]
+
+
+def test_trial_result_reports_trace_drops():
+    config = TrialConfig(
+        seed=11, attack="single", attacker_cluster=5, table=SMALL, trace=True
+    )
+    session = begin_trial(config)
+    trace = session.sim.obs.trace
+    trace.capacity = len(trace.events) + 5
+    truncated = session.finish()
+    full = run_trial(config)
+    assert full.trace_dropped == 0
+    assert len(truncated.trace_events) == trace.capacity
+    assert truncated.trace_dropped == len(full.trace_events) - trace.capacity
+    # what the drop count warns about: the detection case fell off the end
+    assert [t.convicted for t in full.timelines] == [True]
+    assert truncated.timelines == []
+
+
+def test_cli_trial_prints_trace_drops(tmp_path, capsys, monkeypatch):
+    import repro.experiments.trial as trial_module
+    from repro.experiments.__main__ import main as cli_main
+
+    begin = trial_module.begin_trial
+
+    def tiny_capacity(config):
+        session = begin(config)
+        trace = session.sim.obs.trace
+        trace.capacity = len(trace.events) + 5
+        return session
+
+    monkeypatch.setattr(trial_module, "begin_trial", tiny_capacity)
+    path = tmp_path / "run.jsonl"
+    assert cli_main(["trial", "--seed", "1", "--trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"trace: \d+ events dropped past capacity", out)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,8 @@ def test_trial_config_validation():
         TrialConfig(attack="rushing")  # not an attack family we model
     with pytest.raises(ValueError):
         TrialConfig(attacker_cluster=11)
+    with pytest.raises(ValueError):
+        TrialConfig(trace="exam.")  # a prefix tuple, not a bare string
 
 
 def test_destination_never_near_attacker():

@@ -158,6 +158,37 @@ def test_trace_filter_by_kind_prefix_and_node():
     assert [e.kind for e in trace.events] == ["aodv.rreq_tx"]
 
 
+def test_trace_filter_admits_listed_kinds_or_prefixes():
+    both = TraceFilter(kinds={"net.send"}, kind_prefixes=("exam.",))
+    assert both.admits_kind("net.send")
+    assert both.admits_kind("exam.verdict")
+    assert not both.admits_kind("net.deliver")
+    assert TraceFilter().admits_kind("anything")
+    assert not TraceFilter(kinds=set()).admits_kind("net.send")
+
+
+def test_collector_skips_net_kinds_it_cannot_record():
+    sim = Simulator(seed=1)
+    assert TraceCollector(sim).records_net
+    for admitted in (
+        TraceFilter(kind_prefixes=("net.",)),
+        TraceFilter(kinds={"net.drop"}),
+        TraceFilter(nodes={"veh-1"}),
+    ):
+        assert TraceCollector(sim, trace_filter=admitted).records_net
+    narrow = TraceCollector(
+        sim, trace_filter=TraceFilter(kind_prefixes=("verify.", "exam."))
+    )
+    assert not narrow.records_net
+    built = []
+    # the predicate sees every record the collector builds
+    narrow.filter.predicate = lambda event: built.append(event) or True
+    narrow.emit("rsu-1", "aodv.rreq_tx")
+    narrow.emit("rsu-1", "exam.verdict", detail="black-hole")
+    assert built == narrow.events
+    assert [e.kind for e in built] == ["exam.verdict"]
+
+
 def test_select_and_case_events():
     sim = Simulator(seed=1)
     trace = sim.obs.enable_trace()

@@ -5,7 +5,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.net.packets as packets_module
@@ -22,6 +22,8 @@ from repro.sketch import (
     SketchConfig,
     SpaceSavingSummary,
 )
+
+from tests.helpers import cms_merge_cell_by_cell, cms_reset_cell_by_cell
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +99,53 @@ def test_cms_reset_and_pickle_round_trip():
     sketch.reset()
     assert sketch.estimate("a") == 0.0
     assert sketch.total == 0.0
+
+
+#: One sketch operation: add(key, amount), fold the epoch sketch into
+#: the cumulative one, or reset the epoch sketch.
+_CMS_OPS = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.sampled_from(["a", "b", "c", "flooder", ""]),
+        # small opposite amounts cancel: cells non-zero, total zero
+        st.one_of(
+            st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0, 2]),
+            st.floats(-5.0, 5.0, allow_nan=False),
+        ),
+    ),
+    st.tuples(st.just("merge")),
+    st.tuples(st.just("reset")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CMS_OPS, max_size=40))
+@example([("add", "a", 1.0), ("add", "b", -1.0), ("merge",), ("reset",)])
+def test_cms_fast_merge_and_reset_match_cell_by_cell(ops):
+    # An epoch/cumulative pair driven through the production methods and
+    # a twin pair through the cell-by-cell oracle must agree on every
+    # row, the total and the pickled bytes (signed zeros included).
+    def pair():
+        return CountMinSketch(width=16, depth=3, seed=5), CountMinSketch(
+            width=16, depth=3, seed=5
+        )
+
+    epoch, total = pair()
+    oracle_epoch, oracle_total = pair()
+    for op in ops:
+        if op[0] == "add":
+            epoch.add(op[1], op[2])
+            oracle_epoch.add(op[1], op[2])
+        elif op[0] == "merge":
+            total.merge(epoch)
+            cms_merge_cell_by_cell(oracle_total, oracle_epoch)
+        else:
+            epoch.reset()
+            cms_reset_cell_by_cell(oracle_epoch)
+        for fast, slow in ((epoch, oracle_epoch), (total, oracle_total)):
+            assert fast._rows == slow._rows
+            assert fast.total == slow.total
+            assert pickle.dumps(fast) == pickle.dumps(slow)
 
 
 # ----------------------------------------------------------------------

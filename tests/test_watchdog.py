@@ -311,3 +311,23 @@ def test_ledger_invariants_hold_for_any_observation_sequence(plan):
         drive(sim, watchdog)
         assert not watchdog.convicted
         assert not service.convictions
+
+
+def test_gray_hole_conviction_emits_verdict_for_timelines():
+    from repro.obs import reconstruct_timelines
+
+    world = build_world(seed=3)
+    trace = world.sim.obs.enable_trace()
+    suspect = world.add_vehicle("gh", x=2800.0)
+    world.sim.run(until=0.5)
+    service = world.services[2]
+    service.convict_forwarding_violator(suspect.address, evidence="dropped 9/10")
+    world.sim.run(until=world.sim.now + 1.0)
+    case = trace.case_events(suspect.address)
+    assert [(e.kind, e.detail) for e in case[:2]] == [
+        ("exam.verdict", VERDICT_GRAY_HOLE),
+        ("exam.revoke", ""),
+    ]
+    [timeline] = reconstruct_timelines(trace.events)
+    assert timeline.verdict == VERDICT_GRAY_HOLE
+    assert timeline.time_to_isolation is not None
