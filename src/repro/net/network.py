@@ -24,10 +24,17 @@ ignore radio range entirely.
 Neighbour queries (broadcast fan-out, ``neighbors()``, monitor
 overhearing, and the unicast range check) are served by an epoch-based
 uniform-grid index (:mod:`repro.net.spatial`) — identical results to
-the brute-force scan, at O(nearby cells) per query instead of O(N).
-The per-receiver and brute-force reference paths live with the tests
-(``tests/helpers.py``), which pin seeded runs byte-identical against
-them.  See ``docs/performance.md``.
+the brute-force scan, at O(nearby cells) per query instead of O(N).  A
+broadcast asks the index once (:meth:`Network._reach`): the sender's
+neighbourhood, cached for the rest of the epoch once the sender has
+queried twice, gives both the receivers and the radio taps, which are
+the registered monitors among those receivers.  A unicast's taps take
+one pass over the monitors (:meth:`Network._taps`).  Every range
+question the medium asks goes through ``neighbors``, ``in_range``,
+``_reach`` or ``_taps``.  The per-receiver and brute-force reference
+paths live with the tests (``tests/helpers.py``) and replace exactly
+those methods; the tests pin seeded runs byte-identical against them.
+See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -290,6 +297,17 @@ class Network:
         """
         return self.spatial.neighbors(node)
 
+    def _reach(self, sender: Node) -> tuple[list[Node], tuple]:
+        """Receivers of ``sender``'s broadcast and the radio taps that
+        overhear it, from one index query (see
+        :meth:`SpatialIndex.reach <repro.net.spatial.SpatialIndex.reach>`);
+        the receiver list is shared and must not be mutated."""
+        return self.spatial.reach(sender, self._monitors)
+
+    def _taps(self, sender: Node) -> tuple:
+        """Monitor entries in range of ``sender``, in registration order."""
+        return self.spatial.taps(sender, self._monitors)
+
     # ------------------------------------------------------------------
     # Radio transmission
     # ------------------------------------------------------------------
@@ -321,7 +339,8 @@ class Network:
         for watchdog-style forwarding observation.  Radio only; the
         wired backbone is point-to-point.
         """
-        self._monitors.append((node, callback))
+        # Rebound, not appended to: the index memoises taps per list.
+        self._monitors = [*self._monitors, (node, callback)]
 
     def remove_monitor(self, node: Node, callback=None) -> None:
         """Remove ``node``'s monitor registrations.
@@ -337,24 +356,22 @@ class Network:
         ]
 
     def _overhear(self, sender: Node, packet: Packet) -> None:
-        if not self._monitors:
-            return
-        # in_range is index-accelerated: far-away monitors are rejected
-        # from snapshot cells without a distance computation.
-        entries = tuple(
-            entry
-            for entry in self._monitors
-            if entry[0] is not sender and self.in_range(sender, entry[0])
+        """Let every monitor in range overhear ``packet`` (the unicast
+        path; a broadcast takes its taps from :meth:`_reach`)."""
+        taps = self._taps(sender)
+        if taps:
+            self._schedule_overhear(taps, packet, sender)
+
+    def _schedule_overhear(self, taps: tuple, packet: Packet, sender: Node) -> None:
+        """One overhear event carrying every tap of one transmission."""
+        sim = self.sim
+        sim.queue.push_delivery(
+            sim.now + self.config.per_hop_delay,
+            self._overhear_arrive,
+            (taps, packet, packet.src or sender.address),
+            f"overhear {packet.kind}",
+            None,
         )
-        if entries:
-            sim = self.sim
-            sim.queue.push_delivery(
-                sim.now + self.config.per_hop_delay,
-                self._overhear_arrive,
-                (entries, packet, packet.src or sender.address),
-                f"overhear {packet.kind}",
-                None,
-            )
 
     def _overhear_arrive(
         self, entries: tuple, packet: Packet, sender_address: str
@@ -404,11 +421,15 @@ class Network:
         trace = obs.trace
         if trace is not None and trace.records_net:
             trace.emit(sender.node_id, "net.send", packet)
+        if packet.dst == BROADCAST:
+            # One index query serves the fan-out and the radio taps.
+            receivers, taps = self._reach(sender)
+            if taps:
+                self._schedule_overhear(taps, packet, sender)
+            self._broadcast_batched(sender, receivers, packet)
+            return
         if self._monitors:
             self._overhear(sender, packet)
-        if packet.dst == BROADCAST:
-            self._broadcast_batched(sender, self.neighbors(sender), packet)
-            return
         receiver = self._by_address.get(packet.dst)
         if receiver is None:
             self.stats.dropped_unknown_address += 1

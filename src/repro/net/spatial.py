@@ -33,7 +33,27 @@ not exceed it (see ``docs/performance.md``).
 Discrete position changes — :meth:`~repro.net.node.Node.set_position`
 teleports, attach, detach — update the index incrementally; pseudonym
 readdressing and disposable-identity aliases only touch the address
-table, never node positions, so they require no index work at all.
+table, never node positions, so they require no index work at all.  A
+node attached (or teleported) faster than the epoch's ``v_max`` marks
+the index dirty, since its drift would escape the window.
+
+Neighbourhood cache
+-------------------
+Within one epoch every node's position lies within ``g`` of its
+snapshot, so a pair's distance differs from its snapshot distance by at
+most ``2g``.  A node's second query in an epoch therefore files a
+:class:`_Hood`: the nodes in range at every instant of the epoch
+(snapshot distance at most ``limit - 2g``), in attach order, plus the
+short borderline list that each later query re-checks with the exact
+oracle expression.  The first query keeps the plain grid scan, so nodes
+that query once per epoch (Hello beacons, the sparse broadcasts of a
+Table I trial) never pay for an entry; flood senders, which broadcast
+dozens of times per epoch, stop re-scanning the grid.  Any rebuild, attach, detach or
+teleport drops every entry, and snapshots never carry them.
+
+:meth:`SpatialIndex.reach` also answers which radio taps (monitor
+registrations) overhear a broadcast: the registered monitors among its
+receivers, in registration order, memoised per entry.
 
 Determinism
 -----------
@@ -57,6 +77,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Integer grid coordinates of one square cell.
 Cell = tuple[int, int]
+
+#: ``SpatialIndex._hoods`` default: the node has not queried this epoch
+_UNSEEN = object()
+
+
+class _Hood:
+    """One node's cached neighbourhood for the rest of the epoch.
+
+    ``sure`` holds the nodes in range at every instant of the epoch and
+    ``border`` the ``(node, limit)`` pairs whose range each query
+    re-checks, both in attach order.  ``passed`` is the border nodes in
+    range at the last query and ``receivers`` the merged result it gave.
+    ``taps`` memoises the monitor entries among ``tap_receivers`` for
+    the monitor list ``tap_monitors``.
+    """
+
+    __slots__ = (
+        "sure",
+        "border",
+        "passed",
+        "receivers",
+        "tap_monitors",
+        "tap_receivers",
+        "taps",
+    )
+
+    def __init__(self, sure: list[Node], border: list[tuple[Node, float]]) -> None:
+        self.sure = sure
+        self.border = border
+        self.passed: list[Node] = []
+        self.receivers = sure
+        self.tap_monitors = None
+        self.tap_receivers = None
+        self.taps: tuple = ()
 
 
 class SpatialIndex:
@@ -108,10 +162,23 @@ class SpatialIndex:
         self._built_at = -math.inf
         self._valid_until = -math.inf
         self._dirty = True
+        #: per node: its cached neighbourhood, None after its first
+        #: query this epoch, absent before it (see reach())
+        self._hoods: dict[Node, _Hood | None] = {}
         #: plain counters, readable without enabling the metrics hub
         self.rebuilds = 0
         self.incremental_updates = 0
         self.queries = 0
+        #: neighbourhood entries built, and queries served from one
+        self.hood_builds = 0
+        self.hood_hits = 0
+
+    def __getstate__(self) -> dict:
+        # The neighbourhood cache is derived state: a restored world
+        # rebuilds it rather than trusting a pickled copy.
+        state = self.__dict__.copy()
+        state["_hoods"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Incremental membership updates (called by the Network)
@@ -120,12 +187,13 @@ class SpatialIndex:
         """Index a freshly attached node at its current position."""
         self._order[node] = self._next_order
         self._next_order += 1
+        self._hoods.clear()
         if node.transmission_range > self._cell_size:
             # a longer radio grows the cell size; regridding everything
             # is a full rebuild
             self._cell_size = node.transmission_range
             self._dirty = True
-        if self._dirty:
+        if self._dirty or self._outruns_epoch(node):
             return  # the pending rebuild will pick it up
         self._insert(node)
         self.incremental_updates += 1
@@ -133,16 +201,26 @@ class SpatialIndex:
     def remove(self, node: Node) -> None:
         """Drop a detached node from the index."""
         self._order.pop(node, None)
+        self._hoods.clear()
         self._evict(node)
         self.incremental_updates += 1
 
     def move(self, node: Node) -> None:
         """Re-snapshot one node after an explicit position change."""
-        if self._dirty or node not in self._cell_of:
+        self._hoods.clear()
+        if self._dirty or node not in self._cell_of or self._outruns_epoch(node):
             return
         self._evict(node)
         self._insert(node)
         self.incremental_updates += 1
+
+    def _outruns_epoch(self, node: Node) -> bool:
+        """Mark the index dirty when ``node`` is faster than the epoch's
+        ``v_max``: its drift would escape the validity window, so the
+        next query must re-derive it.  Returns whether the index is dirty."""
+        if abs(node.speed) > self._top_speed:
+            self._dirty = True
+        return self._dirty
 
     def _insert(self, node: Node) -> None:
         position = node.position
@@ -230,6 +308,7 @@ class SpatialIndex:
         )
         self._buckets_ordered = True
         self._dirty = False
+        self._hoods.clear()
         self.rebuilds += 1
         obs = sim.obs
         if obs.metrics is not None:
@@ -265,10 +344,178 @@ class SpatialIndex:
         """Attached nodes in bidirectional range of ``node``, attach-ordered.
 
         Exactly equal (same objects, same order) to the brute-force scan
-        ``[o for o in net.nodes if net.in_range(node, o)]``.
+        ``[o for o in net.nodes if net.in_range(node, o)]``; a fresh list.
+        """
+        return list(self.reach(node, ())[0])
+
+    def reach(self, node: Node, monitors: list) -> tuple[list[Node], tuple]:
+        """``node``'s neighbours and the radio taps that overhear it.
+
+        The neighbours are :meth:`neighbors`, as a list the caller must
+        not mutate (it may be a cached entry's).  The taps are the
+        ``(node, callback)`` entries of ``monitors`` whose node is in
+        range of ``node``, in ``monitors`` order.  ``monitors`` must be
+        rebound, never mutated, when registrations change: the taps
+        memo is keyed on its identity.
         """
         self.ensure_current()
         self.queries += 1
+        hoods = self._hoods
+        hood = hoods.get(node, _UNSEEN)
+        if hood is _UNSEEN:
+            # First query this epoch: scan, and remember the querier so
+            # that a second query files an entry.
+            if node in self._snap:
+                hoods[node] = None
+            receivers = self._scan(node)
+            if not monitors:
+                return receivers, ()
+            return receivers, self._taps_among(node, receivers, monitors)[0]
+        if hood is None:
+            hood = hoods[node] = self._build(node)
+        else:
+            self.hood_hits += 1
+        receivers = hood.receivers
+        border = hood.border
+        if border:
+            # The exact oracle expression, as in _scan.
+            nx, ny = node.position
+            passed = []
+            for other, limit in border:
+                ox, oy = other.position
+                if ((nx - ox) ** 2 + (ny - oy) ** 2) ** 0.5 <= limit:
+                    passed.append(other)
+            if passed != hood.passed:
+                sure = hood.sure
+                if not passed:
+                    receivers = sure
+                elif sure:
+                    receivers = sure + passed
+                    receivers.sort(key=self._order.__getitem__)
+                else:
+                    receivers = passed
+                hood.passed = passed
+                hood.receivers = receivers
+        if not monitors:
+            return receivers, ()
+        if hood.tap_monitors is monitors and hood.tap_receivers is receivers:
+            return receivers, hood.taps
+        taps, exact = self._taps_among(node, receivers, monitors)
+        if exact:
+            hood.tap_monitors = monitors
+            hood.tap_receivers = receivers
+            hood.taps = taps
+        return receivers, taps
+
+    def _taps_among(
+        self, node: Node, receivers: list[Node], monitors: list
+    ) -> tuple[tuple, bool]:
+        """The entries of ``monitors`` in range of ``node``, given its
+        receivers, and whether they hold for as long as the receivers do.
+
+        An indexed monitor hears ``node`` exactly when it is one of the
+        receivers.  A monitor on a node outside the index (not attached
+        to this network) takes the exact check, and its answer may
+        change as it moves, so such taps are not memoised.
+        """
+        members = set(receivers)
+        snap = self._snap
+        pair_in_range = self.net._pair_in_range
+        taps = []
+        exact = True
+        for entry in monitors:
+            other = entry[0]
+            if other in members:
+                taps.append(entry)
+            elif other not in snap:
+                exact = False
+                if pair_in_range(node, other):
+                    taps.append(entry)
+        return tuple(taps), exact
+
+    def taps(self, sender: Node, monitors: list) -> tuple:
+        """The entries of ``monitors`` in range of ``sender``, in order.
+
+        The tap set of a unicast transmission: one pass over the
+        monitors, each classified from its snapshot with the drift bound
+        of :meth:`_scan`, borderline ones by the exact oracle expression.
+        """
+        self.ensure_current()
+        snap = self._snap
+        sx, sy = sender.position
+        sender_range = sender.transmission_range
+        slack = self._top_speed * (self.net.sim.now - self._built_at) + 1e-3
+        found = []
+        for entry in monitors:
+            other = entry[0]
+            if other is sender:
+                continue
+            other_range = other.transmission_range
+            limit = sender_range if sender_range <= other_range else other_range
+            position = snap.get(other)
+            if position is not None:
+                dx = sx - position[0]
+                dy = sy - position[1]
+                d2 = dx * dx + dy * dy
+                inner = limit - slack
+                if inner > 0.0 and d2 <= inner * inner:
+                    found.append(entry)
+                    continue
+                outer = limit + slack
+                if d2 > outer * outer:
+                    continue
+            ox, oy = other.position
+            if ((sx - ox) ** 2 + (sy - oy) ** 2) ** 0.5 <= limit:
+                found.append(entry)
+        return tuple(found)
+
+    def _build(self, node: Node) -> _Hood:
+        """File ``node``'s neighbourhood for the rest of the epoch.
+
+        Both ends of a pair drift at most ``g`` from their snapshots
+        before the epoch expires, so a snapshot distance at most
+        ``limit - 2g`` is in range until then and one beyond
+        ``limit + 2g`` is out; the rest are borderline.  The extra
+        millimetre plays the same role as in :meth:`_scan`.
+        """
+        self.hood_builds += 1
+        snap = self._snap
+        nx, ny = snap[node]
+        node_range = node.transmission_range
+        slack = 2.0 * self.guard_band + 1e-3
+        reach = node_range + slack
+        size = self._cell_size
+        floor = math.floor
+        x0 = floor((nx - reach) / size)
+        x1 = floor((nx + reach) / size)
+        y0 = floor((ny - reach) / size)
+        y1 = floor((ny + reach) / size)
+        cells = self._cells
+        sure: list[Node] = []
+        border: list[tuple[Node, float]] = []
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
+                for other in cells.get((cx, cy), ()):
+                    if other is node:
+                        continue
+                    other_range = other.transmission_range
+                    limit = node_range if node_range <= other_range else other_range
+                    sx, sy = snap[other]
+                    sdx = nx - sx
+                    sdy = ny - sy
+                    d2 = sdx * sdx + sdy * sdy
+                    inner = limit - slack
+                    if inner > 0.0 and d2 <= inner * inner:
+                        sure.append(other)
+                    elif d2 <= (limit + slack) ** 2:
+                        border.append((other, limit))
+        order = self._order
+        sure.sort(key=order.__getitem__)
+        border.sort(key=lambda pair: order[pair[0]])
+        return _Hood(sure, border)
+
+    def _scan(self, node: Node) -> list[Node]:
+        """:meth:`neighbors` from the grid cells, as a fresh list."""
         # in_range limits by min(pair ranges) <= node's own range, so a
         # guard-band-widened disk around the querier covers every
         # candidate snapshot.

@@ -14,8 +14,9 @@ the sketch property tests run them beside
 - :data:`PER_RECEIVER` — one delivery event per broadcast receiver and
   one overhear event per monitor, instead of delivery trains and
   batched overhearing;
-- :data:`BRUTE_FORCE` — O(N) neighbour scans and exact range checks,
-  instead of the spatial grid;
+- :data:`BRUTE_FORCE` — O(N) neighbour and radio-tap scans and exact
+  range checks, instead of the spatial grid and its cached
+  neighbourhoods;
 - :func:`refuse_wheel_insert` — a timer wheel that files nothing, so
   every event goes through the heap;
 - :func:`cms_merge_cell_by_cell` and :func:`cms_reset_cell_by_cell` —
@@ -44,12 +45,20 @@ def broadcast_per_receiver(net, sender, receivers, packet):
 
 def overhear_per_monitor(net, sender, packet):
     """Schedule one overhear event per in-range monitor."""
+    taps = [
+        entry
+        for entry in net._monitors
+        if entry[0] is not sender and net.in_range(sender, entry[0])
+    ]
+    schedule_overhear_per_monitor(net, taps, packet, sender)
+
+
+def schedule_overhear_per_monitor(net, taps, packet, sender):
+    """Schedule one overhear event per tap."""
     sender_address = packet.src or sender.address
     sim = net.sim
     arrival = sim.now + net.config.per_hop_delay
-    for monitor, callback in net._monitors:
-        if monitor is sender or not net.in_range(sender, monitor):
-            continue
+    for monitor, callback in taps:
         sim.queue.push_delivery(
             arrival,
             _overhear_arrive_one,
@@ -73,6 +82,18 @@ def brute_neighbors(net, node):
 def brute_in_range(net, a, b):
     """The exact unit-disk predicate, no grid rejection."""
     return net._pair_in_range(a, b)
+
+
+def brute_taps(net, sender):
+    """Every monitor entry in range of ``sender``, in registration order."""
+    return tuple(
+        entry for entry in net._monitors if net._pair_in_range(sender, entry[0])
+    )
+
+
+def brute_reach(net, sender):
+    """A broadcast's receivers and taps, each by its own O(N) scan."""
+    return brute_neighbors(net, sender), brute_taps(net, sender)
 
 
 def refuse_wheel_insert(wheel, event):
@@ -105,9 +126,16 @@ def cms_reset_cell_by_cell(sketch):
 PER_RECEIVER = {
     "_broadcast_batched": broadcast_per_receiver,
     "_overhear": overhear_per_monitor,
+    "_schedule_overhear": schedule_overhear_per_monitor,
 }
-#: Network methods replaced by the brute-force neighbour scan
-BRUTE_FORCE = {"neighbors": brute_neighbors, "in_range": brute_in_range}
+#: Network methods replaced by the brute-force neighbour scan: every
+#: range question Network.transmit asks goes through one of them
+BRUTE_FORCE = {
+    "neighbors": brute_neighbors,
+    "in_range": brute_in_range,
+    "_reach": brute_reach,
+    "_taps": brute_taps,
+}
 
 
 def patch_network(net, paths):
