@@ -205,7 +205,7 @@ class BlackHoleVehicle(VehicleNode):
         )
         direction = 1 if self.direction >= 0 else -1
         if hasattr(self.motion, "set_speed"):
-            self.motion.set_speed(self.sim.now, direction * self.policy.flee_speed)
+            self.set_speed(direction * self.policy.flee_speed)
             self._schedule_crossing()
         if in_last_cluster and direction > 0:
             # Close enough to the end: model the paper's "fled from the

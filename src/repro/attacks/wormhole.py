@@ -148,6 +148,11 @@ class WormholeVehicle(VehicleNode):
         #: the colluding endpoint on the other side of the tunnel
         self.peer: WormholeVehicle | None = None
 
+    def close(self) -> None:
+        """Drop the link to the other endpoint as well."""
+        super().close()
+        self.peer = None
+
     def _make_aodv(self, config: AodvConfig | None):
         if self._entry:
             return WormholeAodv(self, config, identity=self.identity)

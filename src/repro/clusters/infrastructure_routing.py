@@ -84,9 +84,7 @@ class InfrastructureRouting:
         backbone = self.rsu.network.backbone if self.rsu.network else None
         if backbone is None:
             return []
-        return [
-            address for address in backbone.nodes if address != self.rsu.address
-        ]
+        return [address for address in backbone if address != self.rsu.address]
 
     def _broadcast_delta(self, joined: list[str], left: list[str]) -> None:
         for peer in self._peer_addresses():

@@ -76,6 +76,16 @@ class RsuNode(Node):
         self.register_handler(JoinRequest, self._on_join_request)
         self.register_handler(LeaveNotice, self._on_leave_notice)
 
+    def close(self) -> None:
+        """Drop the routing protocol, wired neighbours and membership
+        observers as well."""
+        super().close()
+        self.aodv.close()
+        self.aodv = None
+        self.neighbor_rsus.clear()
+        self.on_member_join.clear()
+        self.on_member_leave.clear()
+
     # ------------------------------------------------------------------
     # Join / leave
     # ------------------------------------------------------------------

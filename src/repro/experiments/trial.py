@@ -489,8 +489,18 @@ def begin_trial(config: TrialConfig) -> TrialSession:
 
 
 def run_trial(config: TrialConfig) -> TrialResult:
-    """Build the world, run the trial, and classify the outcome."""
-    return begin_trial(config).finish()
+    """Build the world, run the trial, and classify the outcome.
+
+    The world never leaves this function, so it is closed as soon as the
+    result is built (:meth:`World.close
+    <repro.experiments.world.World.close>`): reference counting frees it
+    at once instead of leaving thousands of objects in cycles for the
+    collector.  Sessions, fork points and live runs keep their worlds.
+    """
+    session = begin_trial(config)
+    result = session.finish()
+    session.world.close()
+    return result
 
 
 def run_trial_arms(config: TrialConfig, arms: dict) -> dict[str, TrialResult]:

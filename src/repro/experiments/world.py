@@ -73,6 +73,24 @@ class World:
         """Every completed detection record, across all cluster heads."""
         return [record for service in self.services for record in service.records]
 
+    def close(self) -> None:
+        """Break the world's reference cycles once it will not run again.
+
+        Pending events, the medium's node tables and each node's
+        handlers and protocol objects all point back into the world, so
+        a finished world would otherwise wait for a full cycle-collector
+        pass.  After ``close`` it is freed by reference counting as soon
+        as the last reference goes.  Counters (``sim.events_executed``,
+        ``net.stats``) and the detection records stay readable; nothing
+        else may be used.
+        """
+        self.sim.close()
+        self.net.close()
+        for node in (*self.rsus, *self.vehicles):
+            node.close()
+        # Each TA node points back at the TA network.
+        self.ta_net.authorities.clear()
+
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------

@@ -17,9 +17,9 @@ have fired; see ``docs/performance.md`` ("Broadcast delivery trains")
 for the ordering argument.  Monitor overhearing is batched the same
 way: one event per transmission carries every in-range monitor.
 
-The backbone is a :mod:`networkx` graph over RSU addresses; packets
-between connected RSUs take ``wired_hop_delay`` per backbone hop and
-ignore radio range entirely.
+The backbone maps each RSU address to its wired peers; packets between
+connected RSUs take ``wired_hop_delay`` per backbone hop (the
+breadth-first path length) and ignore radio range entirely.
 
 Neighbour queries (broadcast fan-out, ``neighbors()``, monitor
 overhearing, and the unicast range check) are served by an epoch-based
@@ -39,13 +39,11 @@ See ``docs/performance.md``.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from operator import add
 from typing import Callable
-
-import networkx as nx
 
 from repro.net.node import _UNRESOLVED, Node
 from repro.net.packets import Packet
@@ -176,7 +174,8 @@ class Network:
         self.config = config or ChannelConfig()
         self._by_address: dict[str, Node] = {}
         self.nodes: list[Node] = []
-        self.backbone = nx.Graph()
+        #: wired links: RSU address -> addresses of its backbone peers
+        self.backbone: dict[str, list[str]] = {}
         self.stats = NetworkStats()
         self._rng = simulator.rng("channel")
         #: promiscuous listeners: (node, callback) pairs that overhear
@@ -238,8 +237,23 @@ class Network:
             del self._by_address[old_address]
         self._by_address[node.address] = node
 
+    def close(self) -> None:
+        """Drop the node, address and monitor tables and the neighbour
+        index: a finished world will not transmit again.
+
+        Nodes point back at their network, so these tables close the
+        world's largest reference cycles (see :meth:`World.close
+        <repro.experiments.world.World.close>`).  The counters in
+        :attr:`stats` stay readable.
+        """
+        self._by_address.clear()
+        self.nodes.clear()
+        self._monitors = []
+        self.spatial = None
+
     def note_moved(self, node: Node) -> None:
-        """Re-index a node after an explicit ``set_position`` teleport."""
+        """Re-index a node after an explicit ``set_position`` teleport
+        or a speed change."""
         self.spatial.move(node)
 
     def node_at(self, address: str) -> Node | None:
@@ -626,16 +640,38 @@ class Network:
     # ------------------------------------------------------------------
     def connect_backbone(self, a: Node, b: Node) -> None:
         """Add a wired link between two (stationary) nodes."""
-        self.backbone.add_edge(a.address, b.address)
+        for here, there in ((a.address, b.address), (b.address, a.address)):
+            peers = self.backbone.setdefault(here, [])
+            if there not in peers:
+                peers.append(there)
+
+    def disconnect_backbone(self, a: Node, b: Node) -> None:
+        """Cut the wired link between two nodes (a backbone partition).
+
+        Both stay on the backbone, so paths through other links remain.
+        """
+        for here, there in ((a.address, b.address), (b.address, a.address)):
+            peers = self.backbone.get(here, ())
+            if there in peers:
+                peers.remove(there)
 
     def backbone_path_length(self, src_address: str, dst_address: str) -> int | None:
-        """Hops between two backbone nodes, or None if disconnected."""
-        if src_address not in self.backbone or dst_address not in self.backbone:
+        """Hops between two backbone nodes (breadth-first), or None when
+        either is not on the backbone or no wired path joins them."""
+        backbone = self.backbone
+        if src_address not in backbone or dst_address not in backbone:
             return None
-        try:
-            return nx.shortest_path_length(self.backbone, src_address, dst_address)
-        except nx.NetworkXNoPath:
-            return None
+        hops = {src_address: 0}
+        frontier = deque((src_address,))
+        while frontier:
+            here = frontier.popleft()
+            if here == dst_address:
+                return hops[here]
+            for peer in backbone[here]:
+                if peer not in hops:
+                    hops[peer] = hops[here] + 1
+                    frontier.append(peer)
+        return None
 
     def transmit_backbone(self, sender: Node, packet: Packet) -> bool:
         """Send over the wired backbone to ``packet.dst``.

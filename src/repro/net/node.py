@@ -191,6 +191,18 @@ class Node:
         if logger.level <= DEBUG:
             logger.debug(self.node_id, f"dropping unhandled {packet.describe()}")
 
+    def close(self) -> None:
+        """Drop this node's handlers, dispatch cache and gate.
+
+        Each of them holds bound methods of the protocols installed on
+        the node, and those protocols hold the node: dropping them
+        breaks the cycles so a finished world is freed by reference
+        counting.  Subclasses drop their protocol objects too.
+        """
+        self._handlers.clear()
+        self._dispatch_cache.clear()
+        self.gate = None
+
     def __repr__(self) -> str:
         x, y = self.position
         return f"<{type(self).__name__} {self.node_id} @ ({x:.0f},{y:.0f})>"

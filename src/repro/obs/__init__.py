@@ -24,11 +24,7 @@ Instrumented layers: ``repro.net`` (per-kind send/deliver/drop),
 
 from __future__ import annotations
 
-from repro.obs.export import (
-    MetricsServer,
-    render_openmetrics,
-    serve_metrics,
-)
+from repro.obs.export import render_openmetrics, serve_metrics
 from repro.obs.metrics import (
     MetricCounter,
     MetricGauge,
@@ -52,6 +48,16 @@ from repro.obs.trace import (
     TraceFilter,
     render_sequence,
 )
+
+
+def __getattr__(name: str):
+    # MetricsServer lives in a module that imports http.server; load it
+    # only when someone asks for it (serve_metrics does so on demand).
+    if name == "MetricsServer":
+        from repro.obs.server import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Observability:

@@ -7,10 +7,13 @@ Two halves:
   format): counters as ``<name>_total``, gauges as-is, histograms as
   summaries with reservoir quantiles, label values escaped per the spec,
   terminated by ``# EOF``.
-- :class:`MetricsServer` serves that text from a background thread over
-  plain ``http.server`` (no third-party dependency): ``GET /metrics``
-  for scrapers, ``/healthz`` for liveness probes, ``/status`` for a
-  JSON view of whatever run-level status the owner publishes.
+- :func:`serve_metrics` starts a :class:`~repro.obs.server.MetricsServer`
+  that serves that text from a background thread over plain
+  ``http.server`` (no third-party dependency): ``GET /metrics`` for
+  scrapers, ``/healthz`` for liveness probes, ``/status`` for a JSON
+  view of whatever run-level status the owner publishes.  The server
+  module is imported on the first call, so a run that never serves
+  metrics never loads ``http.server`` (or the ``ssl`` it pulls in).
 
 The server only ever *reads* — it draws no randomness and touches no
 simulation state — so exposing it during a live run cannot perturb a
@@ -23,12 +26,12 @@ on the hot path.
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs.metrics import Labels, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - the server module loads on demand
+    from repro.obs.server import MetricsServer
 
 #: Quantiles rendered for each histogram summary.
 SUMMARY_QUANTILES = (0.5, 0.9, 0.95, 0.99)
@@ -155,47 +158,17 @@ def _render_once(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes /metrics, /healthz and /status; everything else is 404."""
+def serve_metrics(
+    registry: MetricsRegistry,
+    port: int,
+    *,
+    host: str = "127.0.0.1",
+    status_fn: Callable[[], dict] | None = None,
+) -> "MetricsServer":
+    """Start a background ``/metrics`` endpoint; returns the server.
 
-    server: "MetricsServer"
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_openmetrics(self.server.registry).encode()
-            ctype = (
-                "application/openmetrics-text; version=1.0.0; charset=utf-8"
-            )
-        elif path == "/healthz":
-            body = b"ok\n"
-            ctype = "text/plain; charset=utf-8"
-        elif path == "/status":
-            body = (
-                json.dumps(self.server.status(), sort_keys=True) + "\n"
-            ).encode()
-            ctype = "application/json"
-        else:
-            body = b"not found\n"
-            self.send_response(404)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # scrapers poll; stderr chatter would drown the run output
-
-
-class MetricsServer(ThreadingHTTPServer):
-    """A background OpenMetrics endpoint over a live registry.
+    ``port=0`` binds an ephemeral port (read it back from ``.port``).
+    The caller owns shutdown: ``server.close()``.
 
     >>> registry = MetricsRegistry()
     >>> registry.counter("demo.requests").inc()
@@ -204,68 +177,7 @@ class MetricsServer(ThreadingHTTPServer):
     True
     >>> server.close()
     """
+    from repro.obs.server import MetricsServer
 
-    daemon_threads = True
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        address: tuple[str, int],
-        *,
-        status_fn: Callable[[], dict] | None = None,
-    ) -> None:
-        super().__init__(address, _Handler)
-        self.registry = registry
-        self._status_fn = status_fn
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self.server_address[0] or "127.0.0.1"
-        return f"http://{host}:{self.port}"
-
-    def status(self) -> dict:
-        base: dict = {"serving": True, "instruments": len(self.registry)}
-        if self._status_fn is not None:
-            try:
-                base.update(self._status_fn())
-            except Exception as error:  # surfaced, not fatal to the scrape
-                base["status_error"] = repr(error)
-        return base
-
-    def start(self) -> "MetricsServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.serve_forever,
-                name="obs-metrics-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-
-def serve_metrics(
-    registry: MetricsRegistry,
-    port: int,
-    *,
-    host: str = "127.0.0.1",
-    status_fn: Callable[[], dict] | None = None,
-) -> MetricsServer:
-    """Start a background ``/metrics`` endpoint; returns the server.
-
-    ``port=0`` binds an ephemeral port (read it back from ``.port``).
-    The caller owns shutdown: ``server.close()``.
-    """
     server = MetricsServer(registry, (host, port), status_fn=status_fn)
     return server.start()

@@ -288,6 +288,8 @@ class AodvProtocol:
             self._flood_rreq(state)
             return
         self._discoveries.pop(state.destination, None)
+        # The fired event's args hold the state: drop the pair's cycle.
+        state.timer_event = None
         result = DiscoveryResult(
             destination=state.destination,
             route=self.table.lookup(state.destination, self.sim.now),
@@ -504,7 +506,11 @@ class AodvProtocol:
             for listener in self._rrep_listeners:
                 listener(packet, sender)
             return
-        # Forward towards the originator along the reverse route.
+        # Forward towards the originator along the reverse route, within
+        # the hop bound the RREQ flood obeys: a reply caught between two
+        # stale reverse routes would otherwise ping-pong forever.
+        if packet.hop_count >= self.config.max_hops:
+            return
         reverse = self.table.lookup(packet.originator, now)
         if reverse is None:
             return
@@ -645,6 +651,19 @@ class AodvProtocol:
         )
         self._hello_timer.start()
 
+    def close(self) -> None:
+        """Stop beaconing and drop the hooks other layers installed.
+
+        Called when the owning node closes (see :meth:`Node.close
+        <repro.net.node.Node.close>`): the detection service and the
+        verifier hook bound methods into the protocol and hold the
+        protocol's own, and the Hello timer holds the protocol, so each
+        closes a reference cycle.
+        """
+        self.stop_hello()
+        self.reply_filter = None
+        self._rrep_listeners.clear()
+
     def stop_hello(self) -> None:
         if self._hello_timer is not None:
             self._hello_timer.cancel()
@@ -672,13 +691,27 @@ class AodvProtocol:
         metrics = sim.obs.metrics
         if metrics is not None:
             metrics.counter("aodv.hello_received", node=self.node.node_id).inc()
+        expires_at = now + config.hello_interval * (config.allowed_hello_loss + 1)
+        entry = self.table.get(sender)
+        if (
+            entry is not None
+            and entry.valid
+            and entry.next_hop == sender
+            and entry.hop_count == 1
+            and entry.destination_seq >= packet.originator_seq
+        ):
+            # RFC 3561 §6.9: a Hello keeps the route to its sender alive.
+            # Extended in place: dense beaconing must not allocate an
+            # entry per Hello.
+            if entry.expires_at < expires_at:
+                entry.expires_at = expires_at
+            return
         installed = self.table.consider(
             sender,
             next_hop=sender,
             hop_count=1,
             destination_seq=packet.originator_seq,
-            expires_at=now
-            + config.hello_interval * (config.allowed_hello_loss + 1),
+            expires_at=expires_at,
         )
         if installed and metrics is not None:
             self._count_route_update()

@@ -382,10 +382,16 @@ class EventQueue:
         """Drop every pending event.
 
         Dropped events are detached from the queue, so cancelling a
-        stale handle afterwards no longer moves the live count.
+        stale handle afterwards no longer moves the live count, and
+        stripped of their action and arguments, so a handle still held
+        elsewhere (a timer, a pending discovery) no longer keeps the
+        objects that scheduled it alive.
         """
         for entry in self._heap:
-            entry[3]._queue = None
+            event = entry[3]
+            event._queue = None
+            event.action = None
+            event.args = ()
         self._heap.clear()
         self.wheel.clear()
         self._live = 0

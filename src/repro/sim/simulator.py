@@ -296,6 +296,21 @@ class Simulator:
         """Stop ``run`` after the currently executing event returns."""
         self._stopped = True
 
+    def close(self) -> None:
+        """Drop every pending event: a finished world will not run again.
+
+        Pending events hold bound methods of the nodes and protocols
+        that scheduled them, so dropping them breaks the simulator's
+        share of the world's reference cycles (see
+        :meth:`World.close <repro.experiments.world.World.close>`).
+        The observability hub and the logger point back at the
+        simulator, so both are dropped too.  Counters such as
+        :attr:`events_executed` stay readable.
+        """
+        self.queue.clear()
+        self.obs = None
+        self.logger = None
+
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------

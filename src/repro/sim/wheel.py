@@ -247,11 +247,13 @@ class TimerWheel:
 
     def clear(self) -> None:
         """Drop every filed entry, detached from its queue (a stale
-        handle's ``cancel()`` is then a no-op); the frontier stays where
-        it is."""
+        handle's ``cancel()`` is then a no-op) and stripped of its
+        action and arguments; the frontier stays where it is."""
         for bucket in itertools.chain(self._slots, self._far.values()):
             for event in bucket:
                 event._queue = None
+                event.action = None
+                event.args = ()
             bucket.clear()
         self._far.clear()
         self._near_count = 0

@@ -29,6 +29,8 @@ Schema history
    are plain integers; event queues count deferred delivery-train legs.
 3: event queues hold no freelist and always own a timer wheel; events
    carry no pool generation; the globals drop the wire-intern counters.
+4: the network's backbone is a plain map from RSU address to its wired
+   peers instead of a graph object.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 3
+SNAPSHOT_SCHEMA = 4
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -79,6 +79,13 @@ class VehicleNode(Node):
         self.exited = False
         self.register_handler(JoinReply, self._on_join_reply)
 
+    def close(self) -> None:
+        """Drop the routing protocol and cluster observers as well."""
+        super().close()
+        self.aodv.close()
+        self.aodv = None
+        self.on_cluster_change.clear()
+
     def _make_aodv(self, config: AodvConfig | None) -> AodvProtocol:
         """AODV factory; attack subclasses swap in malicious variants."""
         return AodvProtocol(self, config, identity=self.identity)
@@ -135,6 +142,14 @@ class VehicleNode(Node):
     @property
     def direction(self) -> int:
         return 1 if self.speed >= 0 else -1
+
+    def set_speed(self, speed: float) -> None:
+        """Change speed from now on, and re-index the node on the medium:
+        the neighbour index bounds each epoch's drift by the speeds it
+        has seen, so a faster node must be shown to it."""
+        self.motion.set_speed(self.sim.now, speed)
+        if self.network is not None:
+            self.network.note_moved(self)
 
     # ------------------------------------------------------------------
     # Cluster membership

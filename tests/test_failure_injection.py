@@ -39,7 +39,7 @@ def test_backbone_partition_yields_fled_verdict():
     reporter = world.add_vehicle("rep", x=1500.0)  # cluster 2
     attacker = world.add_attacker("bh", x=2700.0)  # cluster 3
     world.sim.run(until=0.5)
-    world.net.backbone.remove_edge("rsu-2", "rsu-3")  # partition
+    world.net.disconnect_backbone(world.rsus[1], world.rsus[2])  # partition
     report_suspect(world, reporter, attacker.address, 3, attacker.certificate)
     world.sim.run(until=world.sim.now + 30.0)
     records = world.service_for_cluster(2).records

@@ -1,0 +1,90 @@
+"""What a trial process holds: the modules it loads and the worlds it keeps.
+
+A Figure 4 run builds thousands of trial worlds in one process, so two
+things set its peak memory: the modules the trial path imports, and how
+long each finished world lives.  ``run_trial`` closes its world, which
+breaks the world's reference cycles and lets reference counting free it
+at once instead of at the next full collector pass.
+"""
+
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.experiments.config import TrialConfig
+from repro.experiments.trial import begin_trial, run_trial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Standard-library modules no trial needs: the HTTP server behind
+#: ``--serve-metrics`` and the TLS stack it pulls in.
+UNNEEDED = ("http.server", "ssl")
+
+
+def test_trial_drivers_import_only_what_a_trial_runs():
+    # Nothing outside the standard library (no graph or array package),
+    # and not the metrics server either.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro.experiments.figure4, repro.arena, repro.experiments.flood\n"
+        "new = set(sys.modules) - before\n"
+        "tops = {name.partition('.')[0] for name in new}\n"
+        "ours = {'repro', '__mp_main__'}  # multiprocessing aliases __main__\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - ours))\n"
+        f"print(sorted(set({UNNEEDED!r}) & new))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout.splitlines()
+    assert loaded == ["[]", "[]"]
+
+
+def test_metrics_server_still_importable_from_obs():
+    from repro.obs import MetricsServer
+    from repro.obs.server import MetricsServer as Server
+
+    assert MetricsServer is Server
+
+
+def test_run_trial_leaves_almost_nothing_for_the_collector():
+    # An unclosed Table I world leaves about 5,800 objects in cycles.
+    config = TrialConfig(seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        run_trial(config)
+        reclaimed = gc.collect()
+    finally:
+        gc.enable()
+    assert reclaimed < 500
+
+
+def test_closed_world_keeps_its_counters_and_records():
+    session = begin_trial(TrialConfig(seed=1))
+    result = session.finish()
+    world = session.world
+    events, sent = world.sim.events_executed, world.net.stats.sent
+    records = world.all_records()
+    world.close()
+    assert world.sim.events_executed == events > 0
+    assert world.net.stats.sent == sent > 0
+    assert world.all_records() == records == result.records
+    assert world.sim.pending() == 0
+    assert world.net.nodes == []
+    assert all(
+        node.aodv is None and not node._handlers
+        for node in (*world.rsus, *world.vehicles)
+    )
+    # Closing happens after the result is built: same result as run_trial.
+    assert run_trial(TrialConfig(seed=1)) == result

@@ -170,6 +170,24 @@ def test_backbone_unreachable_returns_false():
     assert lone.packets_received == 0
 
 
+def test_backbone_path_lengths_follow_links_and_partitions():
+    sim, net = make_net()
+    ring = [add_node(sim, net, f"rsu{i}", i * 1000.0) for i in range(5)]
+    for left, right in zip(ring, ring[1:] + ring[:1]):
+        net.connect_backbone(left, right)
+    net.connect_backbone(ring[0], ring[1])  # a repeated link is one link
+    assert net.backbone["rsu0"] == ["rsu1", "rsu4"]
+    assert net.backbone_path_length("rsu0", "rsu0") == 0
+    assert net.backbone_path_length("rsu0", "rsu3") == 2  # round the back
+    net.disconnect_backbone(ring[3], ring[4])
+    assert net.backbone_path_length("rsu0", "rsu3") == 3
+    net.disconnect_backbone(ring[1], ring[2])
+    assert net.backbone_path_length("rsu0", "rsu3") is None  # partitioned
+    assert net.backbone_path_length("rsu0", "nowhere") is None  # unknown
+    assert not net.transmit_backbone(ring[0], Packet(src="rsu0", dst="rsu3"))
+    assert net.stats.dropped_unknown_address == 1
+
+
 def test_neighbors_lists_in_range_nodes():
     sim, net = make_net()
     a = add_node(sim, net, "a", 0)

@@ -239,6 +239,32 @@ def test_fast_node_attached_mid_epoch_stays_inside_the_drift_bound():
         assert fast in net.neighbors(posts[4])
 
 
+def test_fleeing_attacker_faster_than_the_epoch_bound_stays_visible():
+    # A flee at 150 m/s (twice spatial_max_speed) set mid-epoch must reach
+    # the index: 90 m of drift by t=0.6 closes a 1072 m gap to 982 m.
+    from repro.attacks import AttackerPolicy, BlackHoleVehicle
+    from repro.mobility import Highway
+    from repro.vehicles import VehicleNode
+
+    sim, net = make_net()
+    highway = Highway()
+
+    def motion(x):
+        return VehicleMotion(entry_time=0.0, entry_x=x, speed=0.0, lane_y=25.0)
+
+    attacker = BlackHoleVehicle(
+        sim, highway, "a", motion(0.0), policy=AttackerPolicy(flee_speed=150.0)
+    )
+    victim = VehicleNode(sim, highway, "b", motion(1072.0))
+    net.attach(attacker)
+    net.attach(victim)
+    assert net.neighbors(attacker) == []
+    attacker.flee()
+    sim.run(until=0.6)
+    assert attacker.distance_to(victim) == 982.0
+    assert net.neighbors(victim) == brute_neighbors(net, victim) == [attacker]
+
+
 # ----------------------------------------------------------------------
 # Cached neighbourhoods and radio taps against their oracles
 # ----------------------------------------------------------------------

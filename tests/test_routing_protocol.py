@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto import TrustedAuthorityNetwork, verify
 from repro.net import ChannelConfig, Network, Node
-from repro.routing import AodvConfig, AodvProtocol
+from repro.routing import AodvConfig, AodvProtocol, RouteReply
 from repro.sim import Simulator
 
 from tests.helpers import build_chain, run_discovery
@@ -164,6 +164,49 @@ def test_neighbor_silence_invalidates_routes():
     sim.run(until=10.0)
     assert hosts[0].aodv.table.lookup(hosts[1].address, sim.now) is None
     hosts[0].aodv.stop_hello()
+
+
+def test_hello_keeps_the_neighbour_route_alive():
+    # RFC 3561 §6.9: every Hello extends the route to its sender, so a
+    # route learned from the first Hello outlives its 3 s lifetime.
+    config = AodvConfig(enable_hello=True, hello_interval=1.0)
+    sim, net, hosts = build_chain(2, aodv_config=config)
+    a, b = hosts
+    entries = set()
+    for until in (2.5, 5.5, 10.5):
+        sim.run(until=until)
+        route = a.aodv.table.lookup(b.address, sim.now)
+        assert route is not None, f"a->b unusable at t={until}"
+        entries.add(id(route))
+    # Last heard just after t=10: three Hello intervals from then.
+    assert 13.0 < route.expires_at < 13.1
+    # Extended in place: one entry for the whole run, not one per Hello.
+    assert len(entries) == 1
+    for host in hosts:
+        host.aodv.stop_hello()
+
+
+def test_rrep_between_stale_reverse_routes_dies_at_max_hops():
+    # Two nodes whose reverse routes to the originator point at each
+    # other bounce its reply back and forth; the RREQ's hop bound must
+    # stop it, instead of the two forwarding it forever.
+    sim, net, hosts = build_chain(2)
+    a, b = hosts
+    for host, peer in ((a, b), (b, a)):
+        host.aodv.table.consider(
+            "ghost", next_hop=peer.address, hop_count=1, destination_seq=1,
+            expires_at=100.0,
+        )
+    reply = RouteReply(
+        src="elsewhere", dst=a.address, originator="ghost",
+        destination="far", destination_seq=9, hop_count=0, lifetime=50.0,
+        replied_by="far",
+    )
+    a.node.on_receive(reply, "elsewhere")
+    sim.run(max_events=10_000)
+    forwarded = a.aodv.stats.rrep_forwarded + b.aodv.stats.rrep_forwarded
+    assert forwarded == AodvConfig().max_hops
+    assert sim.events_executed == forwarded
 
 
 def test_rerr_propagates_and_invalidates_upstream():
