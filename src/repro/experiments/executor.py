@@ -38,12 +38,10 @@ import dataclasses
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -617,6 +615,10 @@ class TrialExecutor:
         self, chunks: list[list], chunk_runner: Callable, out: list
     ) -> list[list]:
         """One pool generation; returns the chunks that failed."""
+        # Imported here, not at module load: serial runs never pay for
+        # the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         failed: list[list] = []
         consumed: set = set()
 
@@ -675,8 +677,7 @@ class TrialExecutor:
         """
         if self.progress is None:
             return None, None
-        context = _pool_context() or multiprocessing
-        queue = context.Queue()
+        queue = _pool_context().Queue()
 
         def _drain() -> None:
             while True:
@@ -749,8 +750,12 @@ class TrialExecutor:
 
 def _pool_context():
     """Prefer ``fork`` (cheap warm start: workers inherit the imported
-    simulator) where available; the default context otherwise."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
+    simulator) where available; the default context otherwise.
+
+    ``multiprocessing`` is imported here, on first pool use, so serial
+    runs never load it."""
+    import multiprocessing
+
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
-    return None
+    return multiprocessing.get_context()

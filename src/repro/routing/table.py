@@ -7,12 +7,21 @@ one; at equal sequence numbers the shorter route wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+#: The precursor set every entry starts with.  Almost no route ever
+#: gains a precursor, so entries share this one empty set until
+#: :meth:`RoutingTable.add_precursor` gives an entry a real ``set``.
+_NO_PRECURSORS: frozenset[str] = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     """One destination's forwarding state.
+
+    Slotted, and sharing one empty precursor set: a dense mesh keeps a
+    Hello-refreshed route to every one-hop neighbour, so this is most of
+    a node's live state.
 
     Attributes
     ----------
@@ -29,7 +38,9 @@ class RouteEntry:
         not used for forwarding.
     precursors:
         Upstream neighbours routing through us to this destination;
-        receivers of RERRs when the route breaks.
+        receivers of RERRs when the route breaks.  Read-only: an empty
+        ``frozenset`` until the first :meth:`RoutingTable.add_precursor`,
+        and changed only through the table.
     """
 
     destination: str
@@ -38,7 +49,7 @@ class RouteEntry:
     destination_seq: int
     expires_at: float
     valid: bool = True
-    precursors: set[str] = field(default_factory=set)
+    precursors: set[str] | frozenset[str] = _NO_PRECURSORS
 
     def is_usable(self, now: float) -> bool:
         """Valid, unexpired and therefore usable for forwarding."""
@@ -106,7 +117,7 @@ class RoutingTable:
             )
             if not (newer or same_but_shorter):
                 return False
-        precursors = current.precursors if current is not None else set()
+        precursors = current.precursors if current is not None else _NO_PRECURSORS
         self._routes[destination] = RouteEntry(
             destination=destination,
             next_hop=next_hop,
@@ -159,5 +170,11 @@ class RoutingTable:
     def add_precursor(self, destination: str, neighbor: str) -> None:
         """Record that ``neighbor`` forwards through us to ``destination``."""
         entry = self._routes.get(destination)
-        if entry is not None:
+        if entry is None:
+            return
+        # Test the type, not identity with ``_NO_PRECURSORS``: a restored
+        # snapshot unpickles its own empty frozenset.
+        if entry.precursors.__class__ is frozenset:
+            entry.precursors = {neighbor}
+        else:
             entry.precursors.add(neighbor)

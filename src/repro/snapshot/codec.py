@@ -31,6 +31,9 @@ Schema history
    carry no pool generation; the globals drop the wire-intern counters.
 4: the network's backbone is a plain map from RSU address to its wired
    peers instead of a graph object.
+5: routing-table entries are slotted, so they pickle without an
+   instance dict, and an entry with no precursors holds an empty
+   ``frozenset``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 4
+SNAPSHOT_SCHEMA = 5
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -18,22 +18,22 @@ from repro.experiments.trial import begin_trial, run_trial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Standard-library modules no trial needs: the HTTP server behind
-#: ``--serve-metrics`` and the TLS stack it pulls in.
-UNNEEDED = ("http.server", "ssl")
+#: Standard-library modules no serial trial needs: the HTTP server
+#: behind ``--serve-metrics``, the TLS stack it pulls in, and the
+#: process-pool machinery only ``--jobs N`` above 1 uses.
+UNNEEDED = ("http.server", "ssl", "multiprocessing", "concurrent.futures")
 
 
 def test_trial_drivers_import_only_what_a_trial_runs():
     # Nothing outside the standard library (no graph or array package),
-    # and not the metrics server either.
+    # and neither the metrics server nor the process pool.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import repro.experiments.figure4, repro.arena, repro.experiments.flood\n"
         "new = set(sys.modules) - before\n"
         "tops = {name.partition('.')[0] for name in new}\n"
-        "ours = {'repro', '__mp_main__'}  # multiprocessing aliases __main__\n"
-        "print(sorted(tops - set(sys.stdlib_module_names) - ours))\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'repro'}))\n"
         f"print(sorted(set({UNNEEDED!r}) & new))\n"
     )
     env = dict(os.environ)

@@ -1,9 +1,12 @@
 """Tests for AODV routing-table semantics."""
 
+import pickle
+import tracemalloc
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.routing import RoutingTable
+from repro.routing import RouteEntry, RoutingTable
 
 
 def test_install_and_lookup():
@@ -87,6 +90,58 @@ def test_precursors_survive_route_replacement():
     t.consider("d", next_hop="b", hop_count=1, destination_seq=6, expires_at=99.0)
     assert "p1" in t.get("d").precursors
     t.add_precursor("ghost", "p2")  # silently ignored
+
+
+def test_route_entries_are_slotted():
+    entry = RouteEntry("d", next_hop="a", hop_count=1, destination_seq=1, expires_at=9.0)
+    assert not hasattr(entry, "__dict__")
+
+
+def test_fresh_entries_share_one_empty_precursor_set():
+    t = RoutingTable()
+    t.consider("d1", next_hop="a", hop_count=1, destination_seq=1, expires_at=9.0)
+    t.consider("d2", next_hop="b", hop_count=1, destination_seq=1, expires_at=9.0)
+    assert t.get("d1").precursors is t.get("d2").precursors
+    assert not t.get("d1").precursors
+    t.add_precursor("d1", "p")
+    assert t.get("d1").precursors == {"p"}
+    assert not t.get("d2").precursors  # the shared empty set is untouched
+
+
+def test_add_precursor_after_a_pickle_round_trip():
+    # A snapshot restore unpickles a fresh empty frozenset, not the
+    # module's shared one: the first precursor must still go in.
+    t = RoutingTable()
+    t.consider("d", next_hop="a", hop_count=1, destination_seq=1, expires_at=9.0)
+    restored = pickle.loads(pickle.dumps(t))
+    restored.add_precursor("d", "p1")
+    restored.add_precursor("d", "p2")
+    assert restored.get("d").precursors == {"p1", "p2"}
+    assert not t.get("d").precursors
+
+
+def test_route_entry_memory_budget():
+    # About 376 B per installed route with an instance dict and a fresh
+    # empty set each; about 110 B slotted with the shared empty set.
+    count = 10_000
+    destinations = [f"veh-{i}" for i in range(count)]
+    t = RoutingTable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for destination in destinations:
+            t.consider(
+                destination,
+                next_hop=destination,
+                hop_count=1,
+                destination_seq=1,
+                expires_at=9.0,
+            )
+        per_entry = (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()
+    assert len(t) == count
+    assert per_entry < 150
 
 
 @given(
