@@ -14,8 +14,13 @@ Broadcast fan-out is batched: receivers sharing an arrival time form one
 event that fires once per leg, with only the next leg in the heap.
 Receivers are invoked in exactly the order per-receiver events would
 have fired; see ``docs/performance.md`` ("Broadcast delivery trains")
-for the ordering argument.  Monitor overhearing is batched the same
-way: one event per transmission carries every in-range monitor.
+for the ordering argument.  Inside an unprofiled ``Simulator.run`` a
+train that has delivered a leg *drains*: while the heap's next entry
+is another leg of this network, it pops and delivers that leg itself
+instead of returning to the event loop, in the loop's exact order
+(``docs/performance.md``, "Draining train legs").  Monitor overhearing
+is batched the same way: one event per transmission carries every
+in-range monitor.
 
 The backbone maps each RSU address to its wired peers; packets between
 connected RSUs take ``wired_hop_delay`` per backbone hop (the
@@ -42,12 +47,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 from operator import add
 from typing import Callable
 
 from repro.net.node import _UNRESOLVED, Node
 from repro.net.packets import Packet
 from repro.net.spatial import SpatialIndex
+from repro.sim.events import PRIORITY_NORMAL, Event
 from repro.sim.simulator import Simulator
 
 #: Destination address meaning "every node in radio range".
@@ -181,6 +188,11 @@ class Network:
         #: promiscuous listeners: (node, callback) pairs that overhear
         #: every radio transmission within the node's range
         self._monitors: list[tuple[Node, Callable]] = []
+        #: in-flight delivery trains by the event that carries their
+        #: legs: how a draining train tells this network's legs from
+        #: any other event (instrumentation may wrap an event's action
+        #: and arguments, never the event itself)
+        self._trains: dict[Event, _Train] = {}
         #: uniform-grid neighbour index; serves broadcast fan-out,
         #: neighbors() and in_range rejection
         self.spatial = SpatialIndex(
@@ -238,8 +250,8 @@ class Network:
         self._by_address[node.address] = node
 
     def close(self) -> None:
-        """Drop the node, address and monitor tables and the neighbour
-        index: a finished world will not transmit again.
+        """Drop the node, address, monitor and train tables and the
+        neighbour index: a finished world will not transmit again.
 
         Nodes point back at their network, so these tables close the
         world's largest reference cycles (see :meth:`World.close
@@ -249,6 +261,7 @@ class Network:
         self._by_address.clear()
         self.nodes.clear()
         self._monitors = []
+        self._trains.clear()
         self.spatial = None
 
     def note_moved(self, node: Node) -> None:
@@ -528,26 +541,108 @@ class Network:
         order.reverse()
         first = order.pop()
         train = _Train(groups, order, first, now, packet, sender_address)
-        train.event = queue.push_delivery(
+        event = train.event = queue.push_delivery(
             now + first, self._arrive_train, (train,), label, None
         )
+        self._trains[event] = train
         queue.defer(len(order))
 
     def _arrive_train(self, train: _Train) -> None:
-        # Re-queue the following leg *before* delivering: handlers then
-        # see every later leg pending (and a raising handler leaves them
-        # queued).  The last leg drops the train's reference to its
-        # event, so the finished pair is freed without the cycle GC.
-        receivers = train.groups[train.delay]
-        order = train.order
-        if order:
-            delay = train.delay = order.pop()
-            self.sim.queue.requeue(train.event, train.sent + delay)
-        else:
-            train.event = None
-        if receivers.__class__ is not list:
-            receivers = (receivers,)
-        self._arrive_batch(receivers, train.packet, train.sender_address)
+        """Deliver a train's due leg, then drain: while the heap's next
+        entry is another leg of one of this network's trains, pop and
+        deliver it here instead of returning to the event loop.
+
+        Legs are taken from the heap top only, so they run in exactly
+        the loop's order.  The drain does the loop's bookkeeping for
+        each leg it pops (live count, detach, clock, executed count)
+        and hands control back whenever the loop would do anything
+        else: after ``stop()``, at the ``max_events`` limit, when a
+        foreign or cancelled entry is on top, when the next leg lies
+        past ``until`` (always, outside an unprofiled ``Simulator.run``),
+        or when the timer wheel may hold an entry due first.  See
+        ``docs/performance.md`` ("Draining train legs").
+        """
+        sim = self.sim
+        obs = sim.obs
+        queue = sim.queue
+        heap = queue._heap
+        wheel = queue.wheel
+        stats = self.stats
+        trains = self._trains
+        horizon = sim._horizon
+        limit = sim._limit
+        while True:
+            # File the following leg *before* delivering: handlers then
+            # see every later leg pending (and a raising handler leaves
+            # them queued).  The leg was counted as live by
+            # EventQueue.defer, so only the deferred count moves.  The
+            # last leg drops the train's reference to its event, so the
+            # finished pair is freed without the cycle GC.
+            receivers = train.groups[train.delay]
+            order = train.order
+            if order:
+                event = train.event
+                delay = train.delay = order.pop()
+                time = train.sent + delay
+                sequence = event.sequence = event.sequence + 1
+                event.time = time
+                event._queue = queue
+                heappush(heap, (time, PRIORITY_NORMAL, sequence, event))
+                queue._deferred -= 1
+            else:
+                del trains[train.event]
+                train.event = None
+            packet = train.packet
+            sender_address = train.sender_address
+            if receivers.__class__ is list:
+                self._arrive_batch(receivers, packet, sender_address)
+            else:
+                trace = obs.trace
+                if obs.metrics is not None or (
+                    trace is not None and trace.records_net
+                ):
+                    self._arrive(receivers, packet, sender_address)
+                elif receivers.network is self:
+                    # _arrive_batch's dark loop body for one receiver
+                    receiver = receivers
+                    stats.delivered += 1
+                    gate = receiver.gate
+                    if gate is not None and not gate(packet, sender_address):
+                        receiver.packets_gated += 1
+                    else:
+                        receiver.packets_received += 1
+                        ptype = type(packet)
+                        handler = receiver._dispatch_cache.get(ptype, _UNRESOLVED)
+                        if handler is _UNRESOLVED:
+                            handler = receiver._resolve_handler(ptype)
+                        if handler is not None:
+                            handler(packet, sender_address)
+                        else:
+                            receiver.handle_unknown(packet, sender_address)
+            # -- drain: is the loop's next event another of our legs? --
+            if sim._stopped or not heap:
+                return
+            entry = heap[0]
+            time = entry[0]
+            event = entry[3]
+            train = trains.get(event)
+            if (
+                train is None
+                or event.cancelled
+                or time > horizon
+                or (wheel.stored and wheel.frontier <= time)
+            ):
+                return
+            # The leg just delivered has returned: count it, unless it
+            # is the one at which run() must raise.
+            executed = sim.events_executed + 1
+            if executed >= limit:
+                return
+            heappop(heap)
+            queue._live -= 1
+            event._queue = None
+            sim.now = time
+            sim.events_executed = executed
 
     def _arrive_batch(
         self, receivers: tuple | list, packet: Packet, sender_address: str

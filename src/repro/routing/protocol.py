@@ -318,6 +318,7 @@ class AodvProtocol:
                 hop_count=packet.hop_count + 1,
                 destination_seq=packet.originator_seq,
                 expires_at=now + self.config.route_lifetime,
+                now=now,
             )
             if installed:
                 self._count_route_update()
@@ -490,6 +491,7 @@ class AodvProtocol:
                 hop_count=packet.hop_count + 1,
                 destination_seq=packet.destination_seq,
                 expires_at=now + max(packet.lifetime, self.config.route_lifetime),
+                now=now,
             )
             if installed:
                 self._count_route_update()
@@ -712,6 +714,7 @@ class AodvProtocol:
             hop_count=1,
             destination_seq=packet.originator_seq,
             expires_at=expires_at,
+            now=now,
         )
         if installed and metrics is not None:
             self._count_route_update()

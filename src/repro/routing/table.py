@@ -61,9 +61,9 @@ class RoutingTable:
 
     >>> table = RoutingTable()
     >>> _ = table.consider("d", next_hop="a", hop_count=3, destination_seq=5,
-    ...                    expires_at=100.0)
+    ...                    expires_at=100.0, now=0.0)
     >>> table.consider("d", next_hop="b", hop_count=1, destination_seq=4,
-    ...                 expires_at=100.0)   # stale seq: rejected
+    ...                 expires_at=100.0, now=0.0)   # stale seq: rejected
     False
     >>> table.lookup("d", now=0.0).next_hop
     'a'
@@ -101,15 +101,18 @@ class RoutingTable:
         hop_count: int,
         destination_seq: int,
         expires_at: float,
+        now: float,
     ) -> bool:
-        """Apply the AODV route-update rule; returns True if installed.
+        """Apply the AODV route-update rule at time ``now``; returns
+        True if installed.
 
         A candidate replaces the current entry when its sequence number
         is strictly higher, or equal with a strictly smaller hop count,
-        or when the current entry is invalid.
+        or when the current entry is inactive: invalid, or expired at
+        ``now`` (RFC 3561 §6.2).
         """
         current = self._routes.get(destination)
-        if current is not None and current.valid:
+        if current is not None and current.valid and now < current.expires_at:
             newer = destination_seq > current.destination_seq
             same_but_shorter = (
                 destination_seq == current.destination_seq

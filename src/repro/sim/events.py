@@ -38,8 +38,16 @@ as pending — in ``len()``, :attr:`~EventQueue.high_water`,
 :attr:`~EventQueue.stored` and :attr:`~EventQueue.cancelled_fraction` —
 so every gauge and the compaction trigger read exactly as if each leg
 had its own heap entry.  :meth:`EventQueue.defer` reserves the legs'
-sequence numbers and counts them; :meth:`EventQueue.requeue` files the
-next one when the previous leg fires.
+sequence numbers and counts them.  The train itself
+(:meth:`Network._arrive_train <repro.net.network.Network._arrive_train>`)
+files its next leg under the next reserved number when a leg fires, and
+then *drains*: while the heap's top entry is another leg of the same
+network, due within the running ``until`` and ahead of anything the
+timer wheel holds, it pops and delivers that leg itself, doing the
+loop's bookkeeping (live count, detach, clock, executed count) for it.
+Execution order is the heap's order either way; only the trip back
+through :meth:`Simulator.run <repro.sim.simulator.Simulator.run>` is
+saved.
 
 The sequence counter is a plain ``int``, so snapshots pickle it as the
 next number to hand out.
@@ -249,17 +257,6 @@ class EventQueue:
         live = self._live = self._live + legs
         if live > self.high_water:
             self.high_water = live
-
-    def requeue(self, event: Event, time: float) -> None:
-        """File a train's next deferred leg: ``event`` (the train's
-        event, just fired) re-enters the heap at ``time`` under the next
-        reserved sequence number.  The leg was already counted as live
-        by :meth:`defer`, so only the deferred count moves."""
-        sequence = event.sequence = event.sequence + 1
-        event.time = time
-        event._queue = self
-        heappush(self._heap, (time, PRIORITY_NORMAL, sequence, event))
-        self._deferred -= 1
 
     # ------------------------------------------------------------------
     # Corpse accounting

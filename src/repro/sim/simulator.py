@@ -13,6 +13,15 @@ Timer-class work goes through the queue's
 ordering is byte-identical to a heap-only queue's, which
 `tests/test_eventloop_equivalence.py` pins against a heap-only oracle.
 
+While its unprofiled loop runs, ``run`` exposes its ``until`` horizon
+and its ``max_events`` limit to the event it dispatches, and counts
+executed events on the simulator itself.  A broadcast delivery train
+(:meth:`Network._arrive_train <repro.net.network.Network._arrive_train>`)
+uses them to drain the legs due next in place, with the loop's
+bookkeeping for each, and hands back to the loop whenever the loop
+would do anything else.  ``step()`` and profiled runs never drain, so
+the profiler still times every leg under its own label.
+
 Observability hangs off ``sim.obs`` (see :mod:`repro.obs`): when a
 profiler is enabled the loop times each event and tracks queue depth;
 when nothing is enabled the loop body pays a single ``None`` check.
@@ -63,6 +72,13 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_executed = 0
+        #: the running ``until`` (``inf`` for none) while the unprofiled
+        #: loop of :meth:`run` drives; ``-inf`` otherwise, so every leg
+        #: a delivery train could drain in place lies past it
+        self._horizon = float("-inf")
+        #: :attr:`events_executed` value at which ``run`` raises its
+        #: ``max_events`` error (``inf`` for no limit)
+        self._limit = float("inf")
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -140,7 +156,6 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
         self._stopped = False
-        executed = 0
         queue = self.queue
         # EventQueue.pop_due is inlined below (kept verbatim on the
         # queue for external callers): at packet-path rates its call
@@ -153,6 +168,7 @@ class Simulator:
             profiler.begin_run(self.now)
         try:
             if profiler is not None:
+                executed = 0
                 clock = profiler.clock
                 record = profiler.record
                 by_label = profiler._by_label
@@ -211,10 +227,20 @@ class Simulator:
                                 f"(last event: {event.label or event.action!r})"
                             )
                 finally:
+                    self.events_executed += executed
                     profiler.queue_high_water = high_water
                     profiler.events += inlined_events
                     profiler.busy_seconds += inlined_busy
             else:
+                # The executed count lives on the simulator during this
+                # loop: a delivery train that drains its legs in place
+                # (Network._arrive_train) counts each one there, and
+                # stops at the ``max_events`` limit and at ``until``.
+                limit = float("inf")
+                if max_events is not None:
+                    limit = self.events_executed + max_events
+                self._limit = limit
+                self._horizon = deadline
                 while not self._stopped:
                     # -- inline EventQueue.pop_due(until) --
                     while True:
@@ -242,8 +268,8 @@ class Simulator:
                         break
                     self.now = event.time
                     event.action(*event.args)
-                    executed += 1
-                    if max_events is not None and executed >= max_events:
+                    executed = self.events_executed = self.events_executed + 1
+                    if executed >= limit:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"(last event: {event.label or event.action!r})"
@@ -252,7 +278,8 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-            self.events_executed += executed
+            self._horizon = float("-inf")
+            self._limit = float("inf")
             if profiler is not None:
                 profiler.end_run(self.now)
             self._publish_queue_metrics()

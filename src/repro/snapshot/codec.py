@@ -34,6 +34,9 @@ Schema history
 5: routing-table entries are slotted, so they pickle without an
    instance dict, and an entry with no precursors holds an empty
    ``frozenset``.
+6: a network keeps a table of its in-flight delivery trains by event;
+   simulators carry the (idle) drain horizon and ``max_events`` limit
+   of the event loop.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 5
+SNAPSHOT_SCHEMA = 6
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -135,8 +135,8 @@ def test_blacklisted_replies_never_enter_routing_table():
 
 def test_routing_table_flush():
     table = RoutingTable()
-    table.consider("a", next_hop="x", hop_count=1, destination_seq=1, expires_at=99.0)
-    table.consider("b", next_hop="y", hop_count=1, destination_seq=1, expires_at=99.0)
+    table.consider("a", next_hop="x", hop_count=1, destination_seq=1, expires_at=99.0, now=0.0)
+    table.consider("b", next_hop="y", hop_count=1, destination_seq=1, expires_at=99.0, now=0.0)
     assert table.flush() == 2
     assert len(table) == 0
     assert table.flush() == 0

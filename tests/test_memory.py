@@ -11,10 +11,13 @@ import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 from repro.experiments.config import TrialConfig
 from repro.experiments.trial import begin_trial, run_trial
+from repro.net import Network
+from repro.sim import Simulator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -68,6 +71,51 @@ def test_run_trial_leaves_almost_nothing_for_the_collector():
     finally:
         gc.enable()
     assert reclaimed < 500
+
+
+def test_run_trial_frees_its_simulator_and_network_without_the_collector(
+    monkeypatch,
+):
+    # A reference cycle that World.close() does not break (say, a bound
+    # method of the network stored on the network) keeps both alive
+    # until the next collector pass, which the object count above can
+    # miss.
+    made = []
+    for cls in (Simulator, Network):
+
+        def tracked(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        run_trial(TrialConfig(seed=1))
+        alive = [type(ref()).__name__ for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(made) == 2
+    assert alive == []
+
+
+def test_world_closed_with_trains_in_flight_is_freed_without_the_collector():
+    # Pending delivery trains hold their receivers, which point back at
+    # the network: closing the world must drop them too.
+    gc.collect()
+    gc.disable()
+    try:
+        session = begin_trial(TrialConfig(seed=1))
+        world = session.world
+        world.sim.run(until=world.sim.now + 0.0003)
+        assert world.net._trains
+        refs = [weakref.ref(world.sim), weakref.ref(world.net)]
+        world.close()
+        del session, world
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
 
 
 def test_closed_world_keeps_its_counters_and_records():

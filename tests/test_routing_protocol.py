@@ -195,7 +195,7 @@ def test_rrep_between_stale_reverse_routes_dies_at_max_hops():
     for host, peer in ((a, b), (b, a)):
         host.aodv.table.consider(
             "ghost", next_hop=peer.address, hop_count=1, destination_seq=1,
-            expires_at=100.0,
+            expires_at=100.0, now=sim.now,
         )
     reply = RouteReply(
         src="elsewhere", dst=a.address, originator="ghost",

@@ -42,11 +42,13 @@ class RoutingTableMachine(RuleBasedStateMachine):
             hop_count=hops,
             destination_seq=seq,
             expires_at=expires,
+            now=self.clock,
         )
         current = self.model.get(destination)
         should_install = (
             current is None
             or not current[4]
+            or self.clock >= current[3]
             or seq > current[2]
             or (seq == current[2] and hops < current[1])
         )
