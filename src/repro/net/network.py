@@ -558,9 +558,10 @@ class Network:
         and hands control back whenever the loop would do anything
         else: after ``stop()``, at the ``max_events`` limit, when a
         foreign or cancelled entry is on top, when the next leg lies
-        past ``until`` (always, outside an unprofiled ``Simulator.run``),
-        or when the timer wheel may hold an entry due first.  See
-        ``docs/performance.md`` ("Draining train legs").
+        past ``until`` (always, outside an unprofiled ``Simulator.run``:
+        ``step()`` and profiled runs go through ``Simulator._execute``
+        and never drain), or when the timer wheel may hold an entry due
+        first.  See ``docs/performance.md`` ("Draining train legs").
         """
         sim = self.sim
         obs = sim.obs

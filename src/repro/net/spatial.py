@@ -268,8 +268,6 @@ class SpatialIndex:
 
     def _rebuild(self) -> None:
         sim = self.net.sim
-        profiler = sim.obs.profiler
-        started = profiler.clock() if profiler is not None else 0.0
         size = self._cell_size
         for node in self.net.nodes:
             if node.transmission_range > size:
@@ -314,8 +312,6 @@ class SpatialIndex:
         if obs.metrics is not None:
             obs.metrics.counter("net.spatial.rebuilds").inc()
             obs.metrics.gauge("net.spatial.cells").set(len(cells))
-        if profiler is not None:
-            profiler.record("spatial rebuild", profiler.clock() - started)
 
     # ------------------------------------------------------------------
     # Queries

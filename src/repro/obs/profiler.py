@@ -88,9 +88,13 @@ class ProfileReport:
 class RunProfiler:
     """Samples wall-clock time around the simulator's event loop.
 
-    The simulator calls :meth:`record` once per executed event and
-    :meth:`note_queue_depth` once per loop iteration; everything else is
-    bookkeeping.  ``clock`` is injectable for deterministic tests.
+    A profiled run or ``step`` sends every event through
+    :meth:`Simulator._execute <repro.sim.simulator.Simulator._execute>`,
+    which calls :meth:`note_queue_depth` before the event, times it with
+    ``clock`` and then calls :meth:`record`, the only accounting entry
+    point, so :attr:`events` equals the events the simulator executed.
+    :meth:`begin_run` and :meth:`end_run` bracket each run or step.
+    ``clock`` is injectable for deterministic tests.
     """
 
     def __init__(self, *, clock=time.perf_counter, label_limit: int = 256) -> None:

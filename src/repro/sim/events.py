@@ -156,7 +156,7 @@ class EventQueue:
     >>> q.peek_time()
     1.0
     >>> e.cancel()
-    >>> q.pop() is None  # drained: the only event was cancelled
+    >>> q.pop_due() is None  # drained: the only event was cancelled
     True
     """
 
@@ -287,7 +287,7 @@ class EventQueue:
         """Rebuild the heap without corpses and prune the wheel.
 
         Mutates the heap list in place so aliases held by an in-flight
-        ``pop`` loop stay valid.
+        pop loop stay valid.
         """
         self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapify(self._heap)
@@ -312,32 +312,17 @@ class EventQueue:
         elif wheel.frontier <= heap[0][0]:
             wheel.flush_until(heap[0][0], heap)
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or ``None`` if empty.
-
-        Cancelled events encountered on the way are discarded silently.
-        """
-        heap = self._heap
-        while True:
-            self._sync_wheel()
-            if not heap:
-                return None
-            event = heappop(heap)[3]
-            if event.cancelled:
-                continue
-            self._live -= 1
-            # Detach: a cancel() arriving after the event fired must not
-            # decrement the live count a second time.
-            event._queue = None
-            return event
-
     def pop_due(self, until: float | None = None) -> Event | None:
-        """Pop the earliest live event due at or before ``until``.
+        """Pop the earliest live event due at or before ``until``
+        (``None``: any time) — the queue's only pop.
 
         Returns ``None`` when the queue is empty or the next live event
-        fires after ``until`` (that event is left in place).  Fuses the
-        peek/pop pair and the wheel synchronisation into one heap access
-        per iteration; :meth:`Simulator.run
+        fires after ``until`` (that event is left in place).  Cancelled
+        entries met on the way are discarded, and the popped event is
+        detached, so a ``cancel()`` arriving after it fired does not
+        move the live count.  Fuses the peek/pop pair and the wheel
+        synchronisation into one heap access per iteration; the
+        unprofiled loop of :meth:`Simulator.run
         <repro.sim.simulator.Simulator.run>` inlines this body.
         """
         heap = self._heap

@@ -4,30 +4,35 @@ The whole reproduction is built on this loop.  Nodes, channels, timers and
 protocols never sleep or poll; they schedule callbacks at absolute virtual
 times and the simulator executes them in deterministic order.
 
-The loop pulls events through :meth:`EventQueue.pop_due
-<repro.sim.events.EventQueue.pop_due>` — one heap access per iteration —
-and dispatches them as ``action(*args)``, so hot paths can schedule bound
-methods with arguments instead of allocating a closure per packet.
-Timer-class work goes through the queue's
-:class:`~repro.sim.wheel.TimerWheel` (``schedule(..., wheel=True)``);
-ordering is byte-identical to a heap-only queue's, which
-`tests/test_eventloop_equivalence.py` pins against a heap-only oracle.
+``run`` holds the one inlined pop loop: it pulls events as
+:meth:`EventQueue.pop_due <repro.sim.events.EventQueue.pop_due>` would —
+one heap access per iteration — and dispatches them as
+``action(*args)``, so hot paths can schedule bound methods with
+arguments instead of allocating a closure per packet.  Timer-class work
+goes through the queue's :class:`~repro.sim.wheel.TimerWheel`
+(``schedule(..., wheel=True)``); ordering is byte-identical to a
+heap-only queue's, which `tests/test_eventloop_equivalence.py` pins
+against a heap-only oracle.
 
-While its unprofiled loop runs, ``run`` exposes its ``until`` horizon
-and its ``max_events`` limit to the event it dispatches, and counts
-executed events on the simulator itself.  A broadcast delivery train
+While that loop runs, ``run`` exposes its ``until`` horizon and its
+``max_events`` limit to the event it dispatches, and counts executed
+events on the simulator itself.  A broadcast delivery train
 (:meth:`Network._arrive_train <repro.net.network.Network._arrive_train>`)
 uses them to drain the legs due next in place, with the loop's
 bookkeeping for each, and hands back to the loop whenever the loop
-would do anything else.  ``step()`` and profiled runs never drain, so
-the profiler still times every leg under its own label.
+would do anything else.
 
-Observability hangs off ``sim.obs`` (see :mod:`repro.obs`): when a
-profiler is enabled the loop times each event and tracks queue depth;
-when nothing is enabled the loop body pays a single ``None`` check.
-Queue health (pending count, compactions, cancelled fraction, wheel
-occupancy) is mirrored into the metrics registry at the end of each
-``run``.
+Profiled runs and :meth:`Simulator.step` share one generic per-event
+path instead: ``pop_due`` plus :meth:`Simulator._execute`, which sets the
+clock, times the action through the profiler
+(:class:`~repro.obs.profiler.RunProfiler`) when one is attached, and
+counts the event.  They never drain, so the profiler times every leg
+under its own label, and its event count equals
+:attr:`Simulator.events_executed`.  Observability hangs off ``sim.obs``
+(see :mod:`repro.obs`); when no profiler is attached the loop pays one
+``None`` check per ``run``.  Queue health (pending count, compactions,
+cancelled fraction, wheel occupancy) is mirrored into the metrics
+registry at the end of each ``run``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Any, Callable
 
 from heapq import heappop
 
-from repro.obs import Observability
+from repro.obs import Observability, RunProfiler
 from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL
 from repro.sim.logging import WARNING, SimLogger
 from repro.sim.rng import RandomStreams
@@ -48,6 +53,13 @@ class SimulationError(RuntimeError):
     Examples: scheduling into the past, or running a simulator that was
     already stopped with ``reset=False``.
     """
+
+
+def _exceeded(max_events: int | None, event: Event) -> SimulationError:
+    return SimulationError(
+        f"exceeded max_events={max_events} "
+        f"(last event: {event.label or event.action!r})"
+    )
 
 
 class Simulator:
@@ -142,6 +154,11 @@ class Simulator:
     def run(self, until: float | None = None, *, max_events: int | None = None) -> None:
         """Drain the event queue.
 
+        Unprofiled, this is the one inlined pop loop (see the module
+        docstring).  With a profiler attached, each event goes through
+        :meth:`EventQueue.pop_due <repro.sim.events.EventQueue.pop_due>`
+        and :meth:`_execute`, the path :meth:`step` takes too.
+
         Parameters
         ----------
         until:
@@ -157,88 +174,34 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self.queue
-        # EventQueue.pop_due is inlined below (kept verbatim on the
-        # queue for external callers): at packet-path rates its call
-        # frame per event is a measurable share of the loop.
-        heap = queue._heap
-        wheel = queue.wheel
         deadline = float("inf") if until is None else until
+        # The executed count lives on the simulator: a delivery train
+        # that drains its legs in place (Network._arrive_train) counts
+        # each one there, and stops at the ``max_events`` limit and at
+        # ``until``.
+        limit = float("inf")
+        if max_events is not None:
+            limit = self.events_executed + max_events
         profiler = self.obs.profiler
         if profiler is not None:
             profiler.begin_run(self.now)
         try:
             if profiler is not None:
-                executed = 0
-                clock = profiler.clock
-                record = profiler.record
-                by_label = profiler._by_label
-                high_water = profiler.queue_high_water
-                # Per-label accounting is inlined for known labels (dict
-                # hit) and batched into locals; record() handles new
-                # labels and the label cap, and the finally block flushes
-                # the batched totals even on an exception mid-run.
-                inlined_events = 0
-                inlined_busy = 0.0
-                try:
-                    while not self._stopped:
-                        # -- inline EventQueue.pop_due(until) --
-                        while True:
-                            if wheel.stored:
-                                if not heap:
-                                    wheel.flush_next(heap)
-                                elif wheel.frontier <= heap[0][0]:
-                                    wheel.flush_until(heap[0][0], heap)
-                            if not heap:
-                                event = None
-                                break
-                            entry = heap[0]
-                            event = entry[3]
-                            if event.cancelled:
-                                heappop(heap)
-                                continue
-                            if entry[0] > deadline:
-                                event = None
-                                break
-                            heappop(heap)
-                            queue._live -= 1
-                            event._queue = None
-                            break
-                        if event is None:
-                            break
-                        self.now = event.time
-                        depth = queue._live + 1
-                        if depth > high_water:
-                            high_water = depth
-                        started = clock()
-                        event.action(*event.args)
-                        seconds = clock() - started
-                        entry = by_label.get(event.label)
-                        if entry is not None:
-                            entry[0] += 1
-                            entry[1] += seconds
-                            inlined_events += 1
-                            inlined_busy += seconds
-                        else:
-                            record(event.label, seconds)
-                        executed += 1
-                        if max_events is not None and executed >= max_events:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events} "
-                                f"(last event: {event.label or event.action!r})"
-                            )
-                finally:
-                    self.events_executed += executed
-                    profiler.queue_high_water = high_water
-                    profiler.events += inlined_events
-                    profiler.busy_seconds += inlined_busy
+                # _horizon stays -inf, so no train drains: every leg is
+                # timed under its own label.
+                while not self._stopped:
+                    event = queue.pop_due(until)
+                    if event is None:
+                        break
+                    self._execute(event, profiler)
+                    if self.events_executed >= limit:
+                        raise _exceeded(max_events, event)
             else:
-                # The executed count lives on the simulator during this
-                # loop: a delivery train that drains its legs in place
-                # (Network._arrive_train) counts each one there, and
-                # stops at the ``max_events`` limit and at ``until``.
-                limit = float("inf")
-                if max_events is not None:
-                    limit = self.events_executed + max_events
+                # EventQueue.pop_due is inlined below: at packet-path
+                # rates its call frame per event is a measurable share
+                # of the loop.
+                heap = queue._heap
+                wheel = queue.wheel
                 self._limit = limit
                 self._horizon = deadline
                 while not self._stopped:
@@ -270,10 +233,7 @@ class Simulator:
                     event.action(*event.args)
                     executed = self.events_executed = self.events_executed + 1
                     if executed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(last event: {event.label or event.action!r})"
-                        )
+                        raise _exceeded(max_events, event)
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:
@@ -287,37 +247,47 @@ class Simulator:
     def step(self) -> bool:
         """Execute exactly one event.  Returns ``False`` when idle.
 
-        Mirrors :meth:`run`'s guards: calling ``step`` from inside an
-        executing event raises (re-entrancy), and a pending :meth:`stop`
-        is honoured — the next ``step`` returns ``False`` without
-        executing and clears the flag, exactly as a fresh ``run`` would.
+        Takes the same per-event path as a profiled :meth:`run`
+        (:meth:`_execute`), and mirrors ``run``'s guards: calling
+        ``step`` from inside an executing event raises (re-entrancy),
+        and a pending :meth:`stop` is honoured — the next ``step``
+        returns ``False`` without executing and clears the flag, exactly
+        as a fresh ``run`` would.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant step)")
         if self._stopped:
             self._stopped = False
             return False
-        event = self.queue.pop()
+        event = self.queue.pop_due()
         if event is None:
             return False
         self._running = True
         profiler = self.obs.profiler
+        if profiler is not None:
+            profiler.begin_run(event.time)
         try:
-            self.now = event.time
-            if profiler is not None:
-                profiler.note_queue_depth(len(self.queue) + 1)
-                profiler.begin_run(self.now)
-                started = profiler.clock()
-                event.action(*event.args)
-                profiler.record(event.label, profiler.clock() - started)
-            else:
-                event.action(*event.args)
-            self.events_executed += 1
+            self._execute(event, profiler)
         finally:
             self._running = False
             if profiler is not None:
                 profiler.end_run(self.now)
         return True
+
+    def _execute(self, event: Event, profiler: RunProfiler | None) -> None:
+        """Advance the clock to ``event``, run it and count it; with a
+        ``profiler``, note the queue depth and time the action under the
+        event's label."""
+        self.now = event.time
+        if profiler is None:
+            event.action(*event.args)
+        else:
+            profiler.note_queue_depth(len(self.queue) + 1)
+            clock = profiler.clock
+            started = clock()
+            event.action(*event.args)
+            profiler.record(event.label, clock() - started)
+        self.events_executed += 1
 
     def stop(self) -> None:
         """Stop ``run`` after the currently executing event returns."""

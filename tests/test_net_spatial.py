@@ -464,19 +464,6 @@ def test_epoch_expiry_triggers_rebuild_and_counters():
     assert metrics.value("net.spatial.rebuilds") == net.spatial.rebuilds
 
 
-def test_rebuild_shows_up_as_profiler_label():
-    sim, net = make_net()
-    profiler = sim.obs.enable_profiler()
-    a = Node(sim, "a", position=(0.0, 0.0))
-    b = Node(sim, "b", position=(100.0, 0.0))
-    net.attach(a)
-    net.attach(b)
-    a.send(Packet(src="a", dst=BROADCAST))
-    sim.run()
-    labels = {cost.label for cost in profiler.report().breakdown}
-    assert "spatial rebuild" in labels
-
-
 def test_spatial_config_validation():
     import pytest
 

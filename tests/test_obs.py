@@ -7,12 +7,13 @@ probe→conviction sequence are reconstructable by packet id, and a
 profile reporting events/sec.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments.config import TableIConfig, TrialConfig
-from repro.experiments.trial import run_trial
+from repro.experiments.trial import begin_trial, run_trial
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -473,6 +474,22 @@ def test_trial_profile_reports_events_per_sec(instrumented_trial):
     assert profile.events_per_sec > 0
     assert profile.queue_high_water > 0
     assert profile.breakdown
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_profiled_trial_matches_unprofiled_and_counts_executed_events(seed):
+    # The profiler watches the run without steering it: the trial comes
+    # out the same, and it counts exactly the events the simulator
+    # executed, each under one event label.
+    plain = run_trial(TrialConfig(seed=seed))
+    session = begin_trial(TrialConfig(seed=seed, profile=True))
+    profiled = session.finish()
+    profile = profiled.profile
+    assert dataclasses.replace(profiled, profile=None) == plain
+    assert profile.events == session.world.sim.events_executed
+    assert profile.events == sum(cost.count for cost in profile.breakdown)
+    assert "spatial rebuild" not in {cost.label for cost in profile.breakdown}
+    session.world.close()
 
 
 def test_uninstrumented_trial_carries_no_observability_payload():

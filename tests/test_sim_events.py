@@ -17,7 +17,7 @@ def test_pop_returns_events_in_time_order():
     q.push(3.0, lambda: order.append("c"))
     q.push(1.0, lambda: order.append("a"))
     q.push(2.0, lambda: order.append("b"))
-    while (e := q.pop()) is not None:
+    while (e := q.pop_due()) is not None:
         e.action()
     assert order == ["a", "b", "c"]
 
@@ -27,7 +27,7 @@ def test_same_time_events_run_in_insertion_order():
     order = []
     for name in "abcde":
         q.push(1.0, lambda n=name: order.append(n))
-    while (e := q.pop()) is not None:
+    while (e := q.pop_due()) is not None:
         e.action()
     assert order == list("abcde")
 
@@ -38,7 +38,7 @@ def test_priority_breaks_ties_before_sequence():
     q.push(1.0, lambda: order.append("normal"))
     q.push(1.0, lambda: order.append("low"), priority=PRIORITY_LOW)
     q.push(1.0, lambda: order.append("high"), priority=PRIORITY_HIGH)
-    while (e := q.pop()) is not None:
+    while (e := q.pop_due()) is not None:
         e.action()
     assert order == ["high", "normal", "low"]
 
@@ -48,8 +48,8 @@ def test_cancelled_event_is_skipped():
     keep = q.push(2.0, lambda: "keep")
     drop = q.push(1.0, lambda: "drop")
     drop.cancel()
-    assert q.pop() is keep
-    assert q.pop() is None
+    assert q.pop_due() is keep
+    assert q.pop_due() is None
 
 
 def test_len_tracks_live_events_through_cancel():
@@ -83,7 +83,7 @@ def test_clear_empties_queue():
     q.push(2.0, lambda: None)
     q.clear()
     assert len(q) == 0
-    assert q.pop() is None
+    assert q.pop_due() is None
     assert not q
 
 
@@ -93,7 +93,7 @@ def test_clear_empties_wheel_backed_queue():
     q.push(2.0, lambda: None)
     q.clear()
     assert len(q) == 0
-    assert q.pop() is None
+    assert q.pop_due() is None
 
 
 def test_cancel_after_clear_keeps_live_count():
@@ -105,24 +105,24 @@ def test_cancel_after_clear_keeps_live_count():
     assert len(q) == 0
     q.push(3.0, lambda: None)
     assert len(q) == 1
-    assert q.pop() is not None
+    assert q.pop_due() is not None
 
 
 def test_cancel_after_fire_does_not_corrupt_live_count():
     q = EventQueue()
     fired = q.push(1.0, (lambda: None))
     q.push(2.0, (lambda: None))
-    assert q.pop() is fired
+    assert q.pop_due() is fired
     fired.cancel()  # late cancel of an already-fired event
     assert len(q) == 1  # the pending event is still accounted live
-    assert q.pop() is not None
+    assert q.pop_due() is not None
 
 
 def test_event_args_passed_to_action():
     q = EventQueue()
     hits = []
     q.push(1.0, hits.append, args=("payload",))
-    event = q.pop()
+    event = q.pop_due()
     event.action(*event.args)
     assert hits == ["payload"]
 
@@ -189,7 +189,7 @@ def test_compaction_preserves_pop_order():
         event.cancel()
     assert q.compactions >= 1
     popped = []
-    while (e := q.pop()) is not None:
+    while (e := q.pop_due()) is not None:
         popped.append(e)
     assert popped == expected
 

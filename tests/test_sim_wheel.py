@@ -19,7 +19,7 @@ from tests.helpers import refuse_wheel_insert
 
 def drain(queue):
     labels = []
-    while (event := queue.pop()) is not None:
+    while (event := queue.pop_due()) is not None:
         labels.append((event.time, event.label))
     return labels
 
@@ -59,11 +59,11 @@ def test_insert_behind_frontier_falls_back_to_heap():
     wheel = TimerWheel(granularity=0.5, num_slots=4)
     q = EventQueue(wheel=wheel)
     q.push(3.0, lambda: None, label="later", wheel=True)
-    assert q.pop().label == "later"  # frontier is now past t=3.0
+    assert q.pop_due().label == "later"  # frontier is now past t=3.0
     assert wheel.frontier > 0.2
     q.push(0.1, lambda: None, label="behind", wheel=True)
     assert wheel.stored == 0  # refused by the wheel, heap took it
-    assert q.pop().label == "behind"
+    assert q.pop_due().label == "behind"
 
 
 def test_cancelled_wheel_entries_never_reach_the_heap():
@@ -72,7 +72,7 @@ def test_cancelled_wheel_entries_never_reach_the_heap():
     doomed = q.push(1.0, lambda: None, label="doomed", wheel=True)
     q.push(2.0, lambda: None, label="kept", wheel=True)
     doomed.cancel()
-    assert q.pop().label == "kept"
+    assert q.pop_due().label == "kept"
     assert wheel.pruned == 1
     assert wheel.flushed == 1
 
@@ -81,8 +81,8 @@ def test_wheel_only_queue_drains_without_heap_events():
     q = EventQueue(wheel=TimerWheel(granularity=0.5, num_slots=4))
     q.push(4.0, lambda: None, label="only", wheel=True)
     assert q.peek_time() == 4.0
-    assert q.pop().label == "only"
-    assert q.pop() is None
+    assert q.pop_due().label == "only"
+    assert q.pop_due() is None
 
 
 def test_wheel_rejects_bad_geometry():
@@ -144,7 +144,7 @@ def test_randomised_schedule_matches_plain_heap(monkeypatch, seed):
         # wheel inserts land behind the frontier and fall back to the heap
         popped = []
         for _ in range(60):
-            event = queue.pop()
+            event = queue.pop_due()
             if event is None:
                 break
             popped.append((event.time, event.priority, event.label))
@@ -154,7 +154,7 @@ def test_randomised_schedule_matches_plain_heap(monkeypatch, seed):
                 now + time, lambda: None, priority=priority,
                 label=label + "-late", wheel=use_wheel,
             )
-        while (event := queue.pop()) is not None:
+        while (event := queue.pop_due()) is not None:
             popped.append((event.time, event.priority, event.label))
         return popped
 
