@@ -41,11 +41,6 @@ class RouteRequest(Packet):
     #: ("node X says it routes to the destination through you").
     claim_check: str | None = None
 
-    @property
-    def key(self) -> tuple[str, int]:
-        """Duplicate-suppression key: one flood per (originator, rreq_id)."""
-        return (self.originator, self.rreq_id)
-
 
 @dataclass(slots=True)
 class RouteReply(Packet):

@@ -265,7 +265,7 @@ class Simulator:
         self._running = True
         profiler = self.obs.profiler
         if profiler is not None:
-            profiler.begin_run(event.time)
+            profiler.begin_run(self.now)
         try:
             self._execute(event, profiler)
         finally:

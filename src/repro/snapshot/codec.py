@@ -50,7 +50,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 6
+SNAPSHOT_SCHEMA = 7
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -359,6 +359,24 @@ def test_step_feeds_profiler_too():
     assert profiler.report().events == 1
 
 
+def test_stepping_counts_the_same_sim_time_as_run():
+    # Each step covers the clock's jump to its event, as run() does.
+    def profiled_sim():
+        sim = Simulator(seed=1)
+        profiler = sim.obs.enable_profiler()
+        sim.schedule(1.0, lambda: None, label="one")
+        sim.schedule(3.0, lambda: None, label="three")
+        return sim, profiler
+
+    stepped, stepped_profiler = profiled_sim()
+    while stepped.step():
+        pass
+    ran, ran_profiler = profiled_sim()
+    ran.run()
+    assert stepped_profiler.report().sim_seconds == 3.0
+    assert ran_profiler.report().sim_seconds == 3.0
+
+
 # ----------------------------------------------------------------------
 # Observability hub
 # ----------------------------------------------------------------------
