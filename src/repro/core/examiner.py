@@ -420,7 +420,12 @@ class DetectionService:
 
     def _after_delay(self, action, *args) -> None:
         if self.config.inter_probe_delay > 0:
-            self.sim.schedule(self.config.inter_probe_delay, action, args=args)
+            self.sim.schedule(
+                self.config.inter_probe_delay,
+                action,
+                args=args,
+                label="inter-probe delay",
+            )
         else:
             action(*args)
 

@@ -183,12 +183,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     executor = _make_executor(args)
     result = generate_report(args.out, trials=args.trials, parallel=executor)
     print(f"report written to {result.report_path}")
+    if result.profile is not None:
+        # wall-clock figures: never the same twice, so not in report.md
+        print("run profile (wall clock):", file=sys.stderr)
+        print(result.profile.format(top=8), file=sys.stderr)
     for path in result.csv_paths:
         print(f"  csv: {path}")
     if result.failures:
         print("shape failures:")
         for failure in result.failures:
             print(f"  - {failure}")
+    _print_executor_stats(executor)
     return 0 if result.passed else 1
 
 

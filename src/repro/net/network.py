@@ -193,6 +193,7 @@ class Network:
         #: any other event (instrumentation may wrap an event's action
         #: and arguments, never the event itself)
         self._trains: dict[Event, _Train] = {}
+        simulator.queue.train_tables.append(self._trains)
         #: uniform-grid neighbour index; serves broadcast fan-out,
         #: neighbors() and in_range rejection
         self.spatial = SpatialIndex(
@@ -626,10 +627,11 @@ class Network:
             entry = heap[0]
             time = entry[0]
             event = entry[3]
+            # a cancelled leg is not in the table: the cancel retired
+            # its train (EventQueue._note_cancelled)
             train = trains.get(event)
             if (
                 train is None
-                or event.cancelled
                 or time > horizon
                 or (wheel.stored and wheel.frontier <= time)
             ):

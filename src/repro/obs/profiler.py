@@ -84,6 +84,21 @@ class ProfileReport:
                 )
         return "\n".join(lines)
 
+    def format_counts(self, *, top: int = 10) -> str:
+        """:meth:`format` without its wall-clock figures: the lines a
+        seeded run reproduces exactly, labels by count, then label."""
+        lines = [
+            f"events executed : {self.events}",
+            f"sim time        : {self.sim_seconds:.3f}s",
+            f"queue high-water: {self.queue_high_water}",
+        ]
+        if self.breakdown:
+            lines.append("most frequent event labels:")
+            by_count = sorted(self.breakdown, key=lambda c: (-c.count, c.label))
+            for cost in by_count[:top]:
+                lines.append(f"  {cost.label:<28} {cost.count:>8} ev")
+        return "\n".join(lines)
+
 
 class RunProfiler:
     """Samples wall-clock time around the simulator's event loop.

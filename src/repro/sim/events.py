@@ -38,7 +38,9 @@ as pending — in ``len()``, :attr:`~EventQueue.high_water`,
 :attr:`~EventQueue.stored` and :attr:`~EventQueue.cancelled_fraction` —
 so every gauge and the compaction trigger read exactly as if each leg
 had its own heap entry.  :meth:`EventQueue.defer` reserves the legs'
-sequence numbers and counts them.  The train itself
+sequence numbers and counts them; cancelling the train's event retires
+the legs still deferred and drops the train from its network's table
+(:attr:`EventQueue.train_tables`).  The train itself
 (:meth:`Network._arrive_train <repro.net.network.Network._arrive_train>`)
 files its next leg under the next reserved number when a leg fires, and
 then *drains*: while the heap's top entry is another leg of the same
@@ -134,7 +136,7 @@ class Event:
         if not self.cancelled:
             self.cancelled = True
             if self._queue is not None:
-                self._queue._note_cancelled()
+                self._queue._note_cancelled(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -168,6 +170,10 @@ class EventQueue:
         self._live = 0
         #: train legs held outside the heap (counted in ``_live``)
         self._deferred = 0
+        #: the in-flight delivery-train tables (carrying event -> train)
+        #: of the networks scheduling on this queue; cancelling a
+        #: train's event retires its deferred legs through them
+        self.train_tables: list[dict] = []
         self.wheel = wheel if wheel is not None else TimerWheel()
         #: number of times the queue rebuilt itself to shed corpses
         self.compactions = 0
@@ -273,8 +279,18 @@ class EventQueue:
         stored = self.stored
         return (stored - self._live) / stored if stored else 0.0
 
-    def _note_cancelled(self) -> None:
+    def _note_cancelled(self, event: Event) -> None:
         self._live -= 1
+        for trains in self.train_tables:
+            train = trains.pop(event, None)
+            if train is not None:
+                # The train's later legs will never be filed: retire
+                # them with it, and break the train/event cycle.
+                legs = len(train.order)
+                self._live -= legs
+                self._deferred -= legs
+                train.event = None
+                break
         stored = self.stored
         if stored:
             fraction = (stored - self._live) / stored

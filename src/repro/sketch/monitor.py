@@ -3,7 +3,7 @@
 One ``AggregateMonitor`` attaches to an RSU's detection service and
 listens promiscuously (the same ``Network.add_monitor`` tap the
 infrastructure watchdog uses).  Every overheard transmission is folded
-into constant-size summaries:
+into bounded-size summaries:
 
 - **per-origin RREQ rate** — fresh originations (``hop_count == 0``)
   into an epoch count-min sketch plus a space-saving heavy-hitter

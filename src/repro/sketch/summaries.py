@@ -6,8 +6,9 @@ Two classic structures back the aggregate monitor:
     A ``depth x width`` grid of counters; each update increments one
     counter per row at a seeded hash position.  Point queries return
     the row minimum — an upper bound on the true count whose error is
-    bounded by ``total / width`` per row.  Constant memory, O(depth)
-    per update regardless of key cardinality.
+    bounded by ``total / width`` per row.  At most width x depth x 8
+    bytes, none before the first update; O(depth) per update regardless
+    of key cardinality.
 
 ``SpaceSavingSummary``
     Metwally et al.'s heavy-hitter summary: at most ``capacity``
@@ -17,14 +18,15 @@ Two classic structures back the aggregate monitor:
 
 Both are deterministic (hash salts derive from an explicit seed),
 mergeable (epoch sketches fold into cumulative ones; same-seed
-sketches from different RSUs fold into a fleet-wide view), contain
-only plain containers of numbers so they pickle/snapshot cleanly, and
-draw nothing from the simulation RNG.
+sketches from different RSUs fold into a fleet-wide view), hold only
+numbers in plain containers and typed arrays, so they pickle/snapshot
+cleanly, and draw nothing from the simulation RNG.
 """
 
 from __future__ import annotations
 
 import zlib
+from array import array
 from itertools import compress
 
 __all__ = ["CountMinSketch", "SpaceSavingSummary"]
@@ -36,7 +38,13 @@ def _salt(seed: int, row: int) -> int:
 
 
 class CountMinSketch:
-    """Count-min sketch over string keys with float-capable counters."""
+    """Count-min sketch over string keys with float-capable counters.
+
+    The ``depth`` rows of ``width`` counters are typed ``array('d')``
+    rows allocated on the first :meth:`add`, or the first :meth:`merge`
+    of a sketch that holds rows; until then ``_rows`` is ``None`` and
+    every counter reads as zero.  :meth:`reset` drops the rows again.
+    """
 
     __slots__ = ("width", "depth", "seed", "total", "_salts", "_rows")
 
@@ -48,51 +56,52 @@ class CountMinSketch:
         self.seed = seed
         self.total = 0.0
         self._salts = tuple(_salt(seed, row) for row in range(depth))
-        self._rows = [[0.0] * width for _ in range(depth)]
+        self._rows: list[array] | None = None
+
+    def _allocate(self) -> list[array]:
+        self._rows = [array("d", [0.0]) * self.width for _ in range(self.depth)]
+        return self._rows
 
     def add(self, key: str, amount: float = 1.0) -> None:
+        rows = self._rows
+        if rows is None:
+            rows = self._allocate()
         data = key.encode()
         width = self.width
-        for row, salt in zip(self._rows, self._salts):
+        for row, salt in zip(rows, self._salts):
             row[zlib.crc32(data, salt) % width] += amount
         self.total += amount
 
     def estimate(self, key: str) -> float:
+        rows = self._rows
+        if rows is None:
+            return 0.0
         data = key.encode()
         width = self.width
         return min(
             row[zlib.crc32(data, salt) % width]
-            for row, salt in zip(self._rows, self._salts)
+            for row, salt in zip(rows, self._salts)
         )
 
     def merge(self, other: "CountMinSketch") -> None:
         """Fold ``other`` into this sketch (same dimensions and seed)."""
         if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
             raise ValueError("can only merge sketches with identical shape and seed")
-        # An epoch with no update leaves every row all zero: skip those
-        # rows (one C-level count each), and visit only the non-zero
-        # cells of the others, so the counters match a cell-by-cell fold.
-        width = self.width
-        cells = range(width)
-        for mine, theirs in zip(self._rows, other._rows):
-            if theirs.count(0.0) != width:
+        if other._rows is not None:
+            rows = self._rows
+            if rows is None:
+                rows = self._allocate()
+            # Visit only the non-zero cells, so the counters match a
+            # cell-by-cell fold.
+            cells = range(self.width)
+            for mine, theirs in zip(rows, other._rows):
                 for index in compress(cells, theirs):
                     mine[index] += theirs[index]
         self.total += other.total
 
     def reset(self) -> None:
-        # No cell is ever -0.0 (sums onto a +0.0 cell cannot make one),
-        # so a row that counts as all zeros is already reset.
-        width = self.width
-        for row in self._rows:
-            if row.count(0.0) != width:
-                row[:] = [0.0] * width
+        self._rows = None
         self.total = 0.0
-
-    @property
-    def state_bytes(self) -> int:
-        """Nominal state size: one 8-byte counter per cell."""
-        return self.width * self.depth * 8
 
     def __getstate__(self):
         return (self.width, self.depth, self.seed, self.total, self._rows)

@@ -37,6 +37,11 @@ Schema history
 6: a network keeps a table of its in-flight delivery trains by event;
    simulators carry the (idle) drain horizon and ``max_events`` limit
    of the event loop.
+7: AODV nodes keep duplicate-RREQ state as one id window per
+   originator instead of a set of (originator, id) pairs.
+8: count-min sketch rows are typed arrays allocated on first use (an
+   idle sketch pickles ``None``); event queues hold the train tables of
+   the networks scheduling on them.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 7
+SNAPSHOT_SCHEMA = 8
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -8,7 +8,7 @@ The reference paths are the straightforward implementations that the
 production hot paths must match exactly.  Golden-trace tests patch them
 onto :class:`~repro.net.network.Network` (or a single instance, see
 :func:`patch_network`) and onto :class:`~repro.sim.wheel.TimerWheel`;
-the sketch property tests run them beside
+the sketch property tests run one beside
 :class:`~repro.sketch.CountMinSketch`:
 
 - :data:`PER_RECEIVER` — one delivery event per broadcast receiver and
@@ -19,18 +19,20 @@ the sketch property tests run them beside
   neighbourhoods;
 - :func:`refuse_wheel_insert` — a timer wheel that files nothing, so
   every event goes through the heap;
-- :func:`cms_merge_cell_by_cell` and :func:`cms_reset_cell_by_cell` —
-  count-min merge and reset that visit every cell, instead of skipping
-  all-zero rows and zeroing each row by slice.
+- :class:`DenseCountMinSketch` — a count-min sketch with list rows
+  allocated up front, merged and reset cell by cell, instead of typed
+  rows allocated on first use and dropped on reset.
 """
 
 from __future__ import annotations
 
+import zlib
 from types import MethodType
 
 from repro.net import ChannelConfig, Network, Node
 from repro.routing import AodvConfig, AodvProtocol
 from repro.sim import Simulator
+from repro.sketch.summaries import _salt
 
 
 # ----------------------------------------------------------------------
@@ -101,25 +103,45 @@ def refuse_wheel_insert(wheel, event):
     return False
 
 
-def cms_merge_cell_by_cell(sketch, other):
-    """Fold ``other`` into ``sketch`` one cell at a time."""
-    if (sketch.width, sketch.depth, sketch.seed) != (
-        other.width, other.depth, other.seed
-    ):
-        raise ValueError("can only merge sketches with identical shape and seed")
-    for mine, theirs in zip(sketch._rows, other._rows):
-        for index, value in enumerate(theirs):
-            if value:
-                mine[index] += value
-    sketch.total += other.total
+class DenseCountMinSketch:
+    """A count-min sketch whose rows are plain lists of float counters,
+    allocated up front, merged and reset one cell at a time."""
 
+    def __init__(self, width: int = 1024, depth: int = 4, seed: int = 1) -> None:
+        self.width = width
+        self.depth = depth
+        self.seed = seed
+        self.total = 0.0
+        self._salts = tuple(_salt(seed, row) for row in range(depth))
+        self._rows = [[0.0] * width for _ in range(depth)]
 
-def cms_reset_cell_by_cell(sketch):
-    """Zero every counter one cell at a time."""
-    for row in sketch._rows:
-        for index in range(sketch.width):
-            row[index] = 0.0
-    sketch.total = 0.0
+    def add(self, key: str, amount: float = 1.0) -> None:
+        data = key.encode()
+        for row, salt in zip(self._rows, self._salts):
+            row[zlib.crc32(data, salt) % self.width] += amount
+        self.total += amount
+
+    def estimate(self, key: str) -> float:
+        data = key.encode()
+        return min(
+            row[zlib.crc32(data, salt) % self.width]
+            for row, salt in zip(self._rows, self._salts)
+        )
+
+    def merge(self, other: "DenseCountMinSketch") -> None:
+        if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
+            raise ValueError("can only merge sketches with identical shape and seed")
+        for mine, theirs in zip(self._rows, other._rows):
+            for index, value in enumerate(theirs):
+                if value:
+                    mine[index] += value
+        self.total += other.total
+
+    def reset(self) -> None:
+        for row in self._rows:
+            for index in range(self.width):
+                row[index] = 0.0
+        self.total = 0.0
 
 
 #: Network methods replaced by per-receiver delivery and overhearing

@@ -216,6 +216,7 @@ def _state(sim, nets, log):
         queue.stored,
         queue._deferred,
         [net.stats.delivered for net in nets],
+        [len(net._trains) for net in nets],
     )
 
 
@@ -395,9 +396,12 @@ def test_cancelled_corpse_on_the_heap_top(arrivals):
         partial(_flood_at, sent=0.0, cancel=cancel), arrivals
     )
     assert drained == reference
-    # the cancelled train's later legs never run
+    # the cancelled train's later legs never run, and the cancel retired
+    # them: nothing is left pending, stored or in flight
     assert 11 < len(drained[0]) < 30
     assert calls < len(drained[0])
+    assert drained[3] == drained[4] == drained[5] == 0
+    assert drained[7] == [0]
 
 
 def test_two_networks_on_one_simulator_drain_only_their_own_legs(arrivals):

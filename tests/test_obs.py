@@ -329,6 +329,24 @@ def test_profiler_counts_events_and_labels():
     assert "events/sec" in report.format()
 
 
+def test_profile_counts_format_holds_no_wall_clock_figure():
+    profiler = RunProfiler(clock=FakeClock())
+    profiler.begin_run(0.0)
+    for label, seconds in (("b", 0.3), ("a", 0.1), ("c", 0.9), ("a", 0.2), ("b", 0.4)):
+        profiler.record(label, seconds)
+    profiler.end_run(2.0)
+    lines = profiler.report().format_counts(top=2).splitlines()
+    # ordered by count, then label, and cut at ``top``; no seconds
+    assert lines == [
+        "events executed : 5",
+        "sim time        : 2.000s",
+        "queue high-water: 0",
+        "most frequent event labels:",
+        "  a                                   2 ev",
+        "  b                                   2 ev",
+    ]
+
+
 def test_profiler_label_limit_overflows_to_other():
     profiler = RunProfiler(clock=FakeClock(), label_limit=2)
     profiler.record("a", 0.1)
@@ -506,7 +524,9 @@ def test_profiled_trial_matches_unprofiled_and_counts_executed_events(seed):
     assert dataclasses.replace(profiled, profile=None) == plain
     assert profile.events == session.world.sim.events_executed
     assert profile.events == sum(cost.count for cost in profile.breakdown)
-    assert "spatial rebuild" not in {cost.label for cost in profile.breakdown}
+    labels = {cost.label for cost in profile.breakdown}
+    assert "spatial rebuild" not in labels
+    assert "" not in labels  # every event names what it does
     session.world.close()
 
 

@@ -3,6 +3,7 @@ the RSU aggregate monitor, and the golden-trace passivity guarantee."""
 
 import itertools
 import pickle
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,7 @@ from repro.sketch import (
     SpaceSavingSummary,
 )
 
-from tests.helpers import cms_merge_cell_by_cell, cms_reset_cell_by_cell
+from tests.helpers import DenseCountMinSketch
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +102,14 @@ def test_cms_reset_and_pickle_round_trip():
     assert sketch.total == 0.0
 
 
+_CMS_KEYS = ["a", "b", "c", "flooder", ""]
+
 #: One sketch operation: add(key, amount), fold the epoch sketch into
 #: the cumulative one, or reset the epoch sketch.
 _CMS_OPS = st.one_of(
     st.tuples(
         st.just("add"),
-        st.sampled_from(["a", "b", "c", "flooder", ""]),
+        st.sampled_from(_CMS_KEYS),
         # small opposite amounts cancel: cells non-zero, total zero
         st.one_of(
             st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0, 2]),
@@ -118,34 +121,59 @@ _CMS_OPS = st.one_of(
 )
 
 
+def _cells(sketch) -> bytes:
+    """Every counter as doubles, row by row; rows not yet allocated read
+    as zeros.  Compares signed zeros, which ``==`` would not."""
+    rows = sketch._rows or [[0.0] * sketch.width] * sketch.depth
+    return b"".join(array("d", row).tobytes() for row in rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_CMS_OPS, max_size=40))
 @example([("add", "a", 1.0), ("add", "b", -1.0), ("merge",), ("reset",)])
 def test_cms_fast_merge_and_reset_match_cell_by_cell(ops):
     # An epoch/cumulative pair driven through the production methods and
-    # a twin pair through the cell-by-cell oracle must agree on every
-    # row, the total and the pickled bytes (signed zeros included).
-    def pair():
-        return CountMinSketch(width=16, depth=3, seed=5), CountMinSketch(
-            width=16, depth=3, seed=5
-        )
-
-    epoch, total = pair()
-    oracle_epoch, oracle_total = pair()
+    # a twin pair of dense reference sketches must agree on every cell
+    # (signed zeros included), the total and every estimate, before and
+    # after a pickle round trip.
+    epoch, total = (CountMinSketch(width=16, depth=3, seed=5) for _ in range(2))
+    dense_epoch, dense_total = (
+        DenseCountMinSketch(width=16, depth=3, seed=5) for _ in range(2)
+    )
     for op in ops:
         if op[0] == "add":
             epoch.add(op[1], op[2])
-            oracle_epoch.add(op[1], op[2])
+            dense_epoch.add(op[1], op[2])
         elif op[0] == "merge":
             total.merge(epoch)
-            cms_merge_cell_by_cell(oracle_total, oracle_epoch)
+            dense_total.merge(dense_epoch)
         else:
             epoch.reset()
-            cms_reset_cell_by_cell(oracle_epoch)
-        for fast, slow in ((epoch, oracle_epoch), (total, oracle_total)):
-            assert fast._rows == slow._rows
-            assert fast.total == slow.total
-            assert pickle.dumps(fast) == pickle.dumps(slow)
+            dense_epoch.reset()
+        for sketch, dense in ((epoch, dense_epoch), (total, dense_total)):
+            for lazy in (sketch, pickle.loads(pickle.dumps(sketch))):
+                assert _cells(lazy) == _cells(dense)
+                assert lazy.total == dense.total
+                for key in _CMS_KEYS:
+                    assert lazy.estimate(key) == dense.estimate(key)
+
+
+def test_cms_allocates_counters_on_first_update_and_drops_them_on_reset():
+    sketch = CountMinSketch(width=32, depth=4, seed=7)
+    idle = CountMinSketch(width=32, depth=4, seed=7)
+    assert sketch._rows is None
+    assert sketch.estimate("a") == 0.0
+    sketch.merge(idle)  # folding in an idle sketch allocates nothing
+    assert sketch._rows is None
+    idle.merge(sketch)
+    assert idle._rows is None
+    sketch.add("a", 2)
+    assert [len(row) for row in sketch._rows] == [32] * 4
+    idle.merge(sketch)  # the first fold of held counters allocates
+    assert idle.estimate("a") == 2.0
+    sketch.reset()
+    assert sketch._rows is None and sketch.total == 0.0
+    assert sketch.estimate("a") == 0.0
 
 
 # ----------------------------------------------------------------------
