@@ -8,8 +8,7 @@ package layers, bottom up:
 - :mod:`repro.net` — unit-disk radio, nodes, backbone, wire codec,
   secure neighbour discovery.
 - :mod:`repro.crypto` — simulated IEEE 1609.2-style PKI.
-- :mod:`repro.mobility` / :mod:`repro.trace` — highway and urban
-  mobility, SUMO-FCD traces.
+- :mod:`repro.mobility` — highway and urban mobility.
 - :mod:`repro.routing` — AODV.
 - :mod:`repro.clusters` / :mod:`repro.vehicles` — RSU cluster heads and
   vehicle nodes.

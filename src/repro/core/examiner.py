@@ -354,7 +354,7 @@ class DetectionService:
             self.config.probe_timeout,
             handler,
             args=(case,),
-            label=f"probe-timeout {case.suspect}",
+            label="probe-timeout",
             wheel=True,
         )
 

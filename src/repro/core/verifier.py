@@ -290,7 +290,7 @@ class RouteVerifier:
             self.config.hello_timeout,
             self._hello_timeout,
             args=(case,),
-            label=f"hello-timeout {case.destination}",
+            label="hello-timeout",
             wheel=True,
         )
 
@@ -411,7 +411,7 @@ class RouteVerifier:
             self.config.result_timeout,
             self._result_timeout,
             args=(case,),
-            label=f"result-timeout {case.suspect}",
+            label="result-timeout",
             wheel=True,
         )
 

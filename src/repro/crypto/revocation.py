@@ -28,6 +28,7 @@ class RevocationList:
 
     >>> crl = RevocationList()
     >>> crl.add(RevocationEntry("veh-9", serial=4, expires_at=100.0))
+    True
     >>> crl.is_revoked_serial(4)
     True
     >>> crl.prune_expired(now=150.0)

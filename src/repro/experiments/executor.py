@@ -56,7 +56,8 @@ from repro.experiments.progress import ProgressEvent
 #:    counters) joined :class:`TrialSummary`.
 #: 5: ChannelConfig lost ``intern_wire``, ``batch_broadcast`` and
 #:    ``spatial_index``.
-CACHE_SCHEMA = 5
+#: 6: ChannelConfig lost the spatial index's top-speed floor.
+CACHE_SCHEMA = 6
 
 #: Shard count for the JSONL cache (single hex digit of the key).
 _CACHE_SHARDS = 16

@@ -145,7 +145,7 @@ class SecureNeighborDiscovery:
         self._beacon_seq = 0
         self._timer = PeriodicTimer(
             node.sim, interval, self._tick, first_delay=0.0,
-            label=f"snd {node.node_id}",
+            label="snd",
         )
         node.register_handler(NeighborBeacon, self._on_beacon)
 

@@ -84,12 +84,8 @@ class ChannelConfig:
         Metres of kinematic drift the neighbour index
         (:class:`~repro.net.spatial.SpatialIndex`) absorbs between
         rebuilds; queries widen by this much and the snapshot validity
-        window is ``guard_band / spatial_max_speed`` seconds.
-    spatial_max_speed:
-        Top speed (m/s) the index derives its rebuild epoch from.  A
-        correctness contract: no simulated object may move faster
-        (default 75 m/s = 270 km/h, comfortably above the paper's 90
-        km/h traffic and the fastest fleeing attacker).
+        window is ``guard_band / v_max`` seconds, ``v_max`` being the
+        fastest indexed node's speed (no expiry when nothing moves).
     """
 
     per_hop_delay: float = 0.002
@@ -98,15 +94,14 @@ class ChannelConfig:
     wired_hop_delay: float = 0.001
     account_bytes: bool = False
     spatial_guard_band: float = 50.0
-    spatial_max_speed: float = 75.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.per_hop_delay < 0 or self.jitter < 0 or self.wired_hop_delay < 0:
             raise ValueError("delays must be non-negative")
-        if self.spatial_guard_band <= 0 or self.spatial_max_speed <= 0:
-            raise ValueError("spatial guard band and max speed must be positive")
+        if self.spatial_guard_band <= 0:
+            raise ValueError("spatial guard band must be positive")
 
 
 class _Train:
@@ -196,11 +191,7 @@ class Network:
         simulator.queue.train_tables.append(self._trains)
         #: uniform-grid neighbour index; serves broadcast fan-out,
         #: neighbors() and in_range rejection
-        self.spatial = SpatialIndex(
-            self,
-            guard_band=self.config.spatial_guard_band,
-            max_speed=self.config.spatial_max_speed,
-        )
+        self.spatial = SpatialIndex(self, guard_band=self.config.spatial_guard_band)
 
     # ------------------------------------------------------------------
     # Membership

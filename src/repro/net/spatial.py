@@ -25,31 +25,37 @@ the snapshot stays usable while that drift is below the *guard band*
 Queries widen their search radius by ``g`` to cover the drift; once
 ``sim.now`` passes ``valid_until`` the next query rebuilds the whole
 index (an O(N) pass, amortised over every query inside the window).
-``v_max`` is the larger of the configured ``ChannelConfig.
-spatial_max_speed`` floor and the fastest speed observed at build time —
-the configured floor is the correctness contract: simulated objects must
-not exceed it (see ``docs/performance.md``).
+``v_max`` is the fastest speed among the indexed nodes at build time,
+with no configured floor.  The correctness contract is that a node's
+``speed`` bounds its motion until its next announced change (see
+``docs/performance.md``).  In a world where nothing moves ``v_max`` is 0
+and ``valid_until`` is infinite: a static mesh builds its index once.
 
-Discrete position changes — :meth:`~repro.net.node.Node.set_position`
-teleports, attach, detach — update the index incrementally; pseudonym
-readdressing and disposable-identity aliases only touch the address
-table, never node positions, so they require no index work at all.  A
-node attached (or teleported) faster than the epoch's ``v_max`` marks
-the index dirty, since its drift would escape the window.
+Discrete changes — :meth:`~repro.net.node.Node.set_position` teleports,
+speed changes (``VehicleNode.set_speed``, through
+:meth:`~repro.net.network.Network.note_moved`), attach, detach — update
+the index incrementally; pseudonym readdressing and disposable-identity
+aliases only touch the address table, never node positions, so they
+require no index work at all.  A node attached, teleported or sped up
+faster than the epoch's ``v_max`` marks the index dirty, since its drift
+would escape the window.
 
 Neighbourhood cache
 -------------------
 Within one epoch every node's position lies within ``g`` of its
 snapshot, so a pair's distance differs from its snapshot distance by at
-most ``2g``.  A node's second query in an epoch therefore files a
-:class:`_Hood`: the nodes in range at every instant of the epoch
-(snapshot distance at most ``limit - 2g``), in attach order, plus the
-short borderline list that each later query re-checks with the exact
-oracle expression.  The first query keeps the plain grid scan, so nodes
-that query once per epoch (Hello beacons, the sparse broadcasts of a
+most ``2g`` (by nothing, in an epoch where no node moves).  A node's
+second query in an epoch therefore files a :class:`_Hood`: the nodes in
+range at every instant of the epoch (snapshot distance at most
+``limit - 2g``), in attach order, plus the short borderline list that
+each later query re-checks with the exact oracle expression — empty,
+but for pairs within a millimetre of their limit, in a static world.
+The first query keeps the plain grid scan, so nodes that query once per
+epoch (Hello beacons in a moving world, the sparse broadcasts of a
 Table I trial) never pay for an entry; flood senders, which broadcast
-dozens of times per epoch, stop re-scanning the grid.  Any rebuild, attach, detach or
-teleport drops every entry, and snapshots never carry them.
+dozens of times per epoch, and beaconing nodes of a static mesh stop
+re-scanning the grid.  Any rebuild, attach, detach, teleport or speed
+change drops every entry, and snapshots never carry them.
 
 :meth:`SpatialIndex.reach` also answers which radio taps (monitor
 registrations) overhear a broadcast: the registered monitors among its
@@ -125,21 +131,11 @@ class SpatialIndex:
     guard_band:
         Extra metres added to every query radius to absorb kinematic
         drift since the last rebuild.
-    max_speed:
-        Correctness floor for the top speed (m/s) used to derive the
-        validity window.  Must bound every simulated object's speed.
     """
 
-    def __init__(
-        self,
-        network: "Network",
-        *,
-        guard_band: float = 50.0,
-        max_speed: float = 75.0,
-    ) -> None:
+    def __init__(self, network: "Network", *, guard_band: float = 50.0) -> None:
         self.net = network
         self.guard_band = float(guard_band)
-        self.max_speed = float(max_speed)
         self._cells: dict[Cell, list[Node]] = {}
         self._cell_of: dict[Node, Cell] = {}
         #: snapshot position per indexed node, taken at (re)build or
@@ -148,7 +144,7 @@ class SpatialIndex:
         self._snap: dict[Node, tuple[float, float]] = {}
         #: the v_max the current epoch's validity window was derived
         #: from; bounds any indexed node's drift since ``built_at``
-        self._top_speed = float(max_speed)
+        self._top_speed = 0.0
         #: attach sequence numbers; query results sort by these so the
         #: grid returns neighbours in exactly brute-force (attach) order
         self._order: dict[Node, int] = {}
@@ -276,7 +272,7 @@ class SpatialIndex:
         cells: dict[Cell, list[Node]] = {}
         cell_of: dict[Node, Cell] = {}
         snap: dict[Node, tuple[float, float]] = {}
-        top_speed = self.max_speed
+        top_speed = 0.0
         floor = math.floor
         # One flat pass: _cell_at is inlined (identical floor/divide
         # arithmetic) and speed reads the Node attribute directly — this
@@ -471,14 +467,18 @@ class SpatialIndex:
         Both ends of a pair drift at most ``g`` from their snapshots
         before the epoch expires, so a snapshot distance at most
         ``limit - 2g`` is in range until then and one beyond
-        ``limit + 2g`` is out; the rest are borderline.  The extra
-        millimetre plays the same role as in :meth:`_scan`.
+        ``limit + 2g`` is out; the rest are borderline.  In an epoch
+        where nothing moves there is no drift, and the band shrinks to
+        the extra millimetre, which plays the same role as in
+        :meth:`_scan`.
         """
         self.hood_builds += 1
         snap = self._snap
         nx, ny = snap[node]
         node_range = node.transmission_range
-        slack = 2.0 * self.guard_band + 1e-3
+        slack = 1e-3
+        if self._top_speed > 0.0:
+            slack += 2.0 * self.guard_band
         reach = node_range + slack
         size = self._cell_size
         floor = math.floor

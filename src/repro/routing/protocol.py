@@ -315,7 +315,7 @@ class AodvProtocol:
             self.config.discovery_timeout,
             self._discovery_window_closed,
             args=(state,),
-            label=f"discovery {state.destination}",
+            label="discovery",
             wheel=True,
         )
 
@@ -712,7 +712,7 @@ class AodvProtocol:
             self.sim,
             self.config.hello_interval,
             self._hello_tick,
-            label=f"hello {self.address}",
+            label="hello",
         )
         self._hello_timer.start()
 

@@ -42,6 +42,8 @@ Schema history
 8: count-min sketch rows are typed arrays allocated on first use (an
    idle sketch pickles ``None``); event queues hold the train tables of
    the networks scheduling on them.
+9: spatial indexes carry no configured top-speed floor; an epoch's
+   window comes from the indexed nodes' speeds alone.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 8
+SNAPSHOT_SCHEMA = 9
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -44,7 +44,7 @@ class PseudonymRotation:
             interval,
             self._rotate,
             first_delay=self._next_delay(),
-            label=f"rotation {vehicle.node_id}",
+            label="rotation",
         )
 
     def _next_delay(self) -> float:

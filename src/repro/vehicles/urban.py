@@ -52,8 +52,7 @@ class UrbanVehicleNode(VehicleNode):
         if rejoin_interval <= 0:
             raise ValueError("rejoin_interval must be positive")
         self._rejoin_timer = PeriodicTimer(
-            simulator, rejoin_interval, self._rejoin_tick,
-            label=f"{node_id} rejoin",
+            simulator, rejoin_interval, self._rejoin_tick, label="rejoin"
         )
 
     # ------------------------------------------------------------------

@@ -20,7 +20,12 @@ _BOUNDARY_EPSILON = 0.5
 
 
 class MotionSource(Protocol):
-    """Anything that can position a vehicle over time."""
+    """Anything that can position a vehicle over time.
+
+    ``speed_at(t)`` must bound the motion's speed until its next change,
+    and every change must be made through :meth:`VehicleNode.set_speed`,
+    which announces it to the network's neighbour index.
+    """
 
     def position(self, t: float) -> tuple[float, float]: ...
 
@@ -37,7 +42,7 @@ class VehicleNode(Node):
     node_id:
         Long-term identity (never transmitted once enrolled).
     motion:
-        Position source; synthetic kinematics or trace replay.
+        Position source: highway or urban kinematics.
     enrolment:
         TA-issued credential; the certificate's pseudonym becomes the
         on-air address.  ``None`` runs the vehicle unauthenticated
@@ -211,7 +216,7 @@ class VehicleNode(Node):
         self._crossing_event = self.sim.schedule(
             delay,
             self._cross_boundary,
-            label=f"{self.node_id} crossing",
+            label="crossing",
             wheel=True,
         )
 

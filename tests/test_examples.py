@@ -60,12 +60,6 @@ def test_baseline_comparison(capsys):
     assert "still flagged after pseudonym renewal: False" in out
 
 
-def test_sumo_trace_replay(capsys):
-    out = run_example("sumo_trace_replay", capsys)
-    assert "fcd-export XML" in out
-    assert "replayed vehicle" in out
-
-
 def test_urban_grid_detection(capsys):
     out = run_example("urban_grid_detection", capsys)
     assert "attacker detected and isolated: True" in out

@@ -181,8 +181,9 @@ def test_equivalence_under_kinematic_motion():
         )
         net.attach(KineticNode(sim, f"veh-{i}", motion, transmission_range=800.0))
     # 0.35 s steps: several queries per validity window (guard 50 m /
-    # 75 m/s = 0.667 s) and many windows over the full horizon, so the
-    # index rebuilds repeatedly while vehicles cross cell borders.
+    # a top speed under 40 m/s > 1.25 s) and many windows over the full
+    # horizon, so the index rebuilds repeatedly while vehicles cross
+    # cell borders.
     t = 0.0
     while t < 60.0:
         t += 0.35
@@ -192,8 +193,8 @@ def test_equivalence_under_kinematic_motion():
 
 
 def test_fast_vehicle_never_outruns_the_guard_band():
-    # a vehicle at exactly the configured top speed, crossing many cells
-    sim, net = make_net(spatial_max_speed=75.0, spatial_guard_band=50.0)
+    # a vehicle at exactly the top speed it sets, crossing many cells
+    sim, net = make_net(spatial_guard_band=50.0)
     flyer = KineticNode(
         sim,
         "flyer",
@@ -213,18 +214,28 @@ def test_fast_vehicle_never_outruns_the_guard_band():
 
 
 def test_fast_node_attached_mid_epoch_stays_inside_the_drift_bound():
-    # The epoch built at t=0 derives its window (0.667 s) from 75 m/s; a
+    # A 75 m/s pacer gives the epoch built at t=0 a 0.667 s window; a
     # 300 m/s node attached at t=0.05 would drift 60 m past its snapshot
-    # before the window ends unless the attach re-derives it.
-    sim, net = make_net(spatial_max_speed=75.0, spatial_guard_band=50.0)
+    # before that window ends unless the attach re-derives it.
+    sim, net = make_net(spatial_guard_band=50.0)
+    metrics = sim.obs.enable_metrics()
     posts = []
     for i in range(10):
         posts.append(
             Node(sim, f"post-{i}", position=(i * 400.0, 0.0), transmission_range=500.0)
         )
         net.attach(posts[-1])
+    pacer = KineticNode(
+        sim,
+        "pacer",
+        VehicleMotion(entry_time=0.0, entry_x=-5000.0, speed=75.0, lane_y=0.0),
+        transmission_range=500.0,
+    )
+    net.attach(pacer)
+    spatial = net.spatial
     net.neighbors(posts[0])
-    assert math.isclose(net.spatial.valid_until, 50.0 / 75.0)
+    assert spatial.rebuilds == 1
+    assert math.isclose(spatial.valid_until, 50.0 / 75.0)
     sim.run(until=0.05)
     fast = KineticNode(
         sim,
@@ -237,11 +248,17 @@ def test_fast_node_attached_mid_epoch_stays_inside_the_drift_bound():
         sim.run(until=0.40 + 0.05 * step)
         assert net.neighbors(posts[4]) == brute_neighbors(net, posts[4])
         assert fast in net.neighbors(posts[4])
+    # The query at t=0.40 rebuilt with a 50 / 300 s window, which
+    # expired before the one at t=0.60.
+    assert spatial.rebuilds == 3
+    assert math.isclose(spatial.built_at, 0.60)
+    assert math.isclose(spatial.valid_until - spatial.built_at, 50.0 / 300.0)
+    assert metrics.value("net.spatial.rebuilds") == 3
 
 
 def test_fleeing_attacker_faster_than_the_epoch_bound_stays_visible():
-    # A flee at 150 m/s (twice spatial_max_speed) set mid-epoch must reach
-    # the index: 90 m of drift by t=0.6 closes a 1072 m gap to 982 m.
+    # A flee at 150 m/s set in a world where nothing moved must reach the
+    # index: 90 m of drift by t=0.6 closes a 1072 m gap to 982 m.
     from repro.attacks import AttackerPolicy, BlackHoleVehicle
     from repro.mobility import Highway
     from repro.vehicles import VehicleNode
@@ -386,10 +403,11 @@ def test_cached_neighbourhoods_and_taps_match_the_oracles(seed, ops):
 
 
 def test_cached_entry_holds_for_the_whole_epoch():
-    # Head-on and receding pairs at 70 m/s close or open 93 m over one
-    # 0.667 s epoch: an entry filed at its start must still be exact at
-    # its end, which takes the full 2g borderline band.
-    sim, net = make_net(spatial_max_speed=75.0, spatial_guard_band=50.0)
+    # Head-on and receding pairs at 70 m/s close or open 2g = 100 m over
+    # the 0.714 s epoch their speed sets: an entry filed at its start
+    # must still be exact at its end, which takes the full 2g borderline
+    # band.
+    sim, net = make_net(spatial_guard_band=50.0)
 
     def vehicle(name, x, speed):
         motion = VehicleMotion(entry_time=0.0, entry_x=x, speed=speed)
@@ -403,10 +421,11 @@ def test_cached_entry_holds_for_the_whole_epoch():
     net.neighbors(hub)
     net.neighbors(hub)
     assert net.spatial.hood_builds == 1
-    for step in range(1, 14):
+    for step in range(1, 15):
         sim.run(until=0.05 * step)
         assert net.neighbors(hub) == brute_neighbors(net, hub)
     assert net.spatial.rebuilds == 1
+    assert math.isclose(net.spatial.valid_until, 50.0 / 70.0)
     assert [n.node_id for n in net.neighbors(hub)] == ["closing"]
 
 
@@ -449,19 +468,118 @@ def test_snapshot_drops_cached_neighbourhoods():
 
 
 def test_epoch_expiry_triggers_rebuild_and_counters():
+    # The only moving node, at the paper's top speed of 90 km/h, sets
+    # the window: 50 m of guard band last 2 s.
     sim, net = make_net()
     metrics = sim.obs.enable_metrics()
     net.attach(Node(sim, "a", position=(0.0, 0.0)))
-    net.attach(Node(sim, "b", position=(100.0, 0.0)))
+    motion = VehicleMotion(entry_time=0.0, entry_x=100.0, speed=25.0)
+    net.attach(KineticNode(sim, "b", motion))
     net.neighbors(net.nodes[0])
-    first = net.spatial.rebuilds
-    assert first >= 1
+    assert net.spatial.rebuilds == 1
     window = net.spatial.valid_until - net.spatial.built_at
-    assert math.isclose(window, 50.0 / 75.0)
+    assert math.isclose(window, 50.0 / 25.0)
     sim.run(until=net.spatial.valid_until + 0.01)
     net.neighbors(net.nodes[0])
-    assert net.spatial.rebuilds == first + 1
-    assert metrics.value("net.spatial.rebuilds") == net.spatial.rebuilds
+    assert net.spatial.rebuilds == 2
+    assert metrics.value("net.spatial.rebuilds") == 2
+
+
+def test_static_mesh_builds_once_and_answers_repeats_from_its_cache():
+    # Nothing moves, so the epoch never expires and a pair's snapshot
+    # distance is its distance: every cached neighbourhood is exact,
+    # with no borderline list to re-check.
+    sim, net = make_net(seed=5)
+    rng = sim.rng("static-mesh")
+    for i in range(40):
+        net.attach(
+            Node(
+                sim,
+                f"n{i}",
+                position=(rng.uniform(0, 6000), rng.uniform(0, 600)),
+                transmission_range=rng.choice([400.0, 700.0, 1000.0]),
+            )
+        )
+    spatial = net.spatial
+    for query in range(1, 5):
+        sim.run(until=sim.now + 5.0)
+        for node in net.nodes:
+            hits = spatial.hood_hits
+            assert net.neighbors(node) == brute_neighbors(net, node)
+            assert spatial.hood_hits == hits + (query > 2)
+    assert spatial.rebuilds == 1
+    assert spatial.valid_until == math.inf
+    assert spatial.hood_builds == len(net.nodes)
+    assert spatial.hood_hits == 2 * len(net.nodes)
+    assert set(spatial._hoods) == set(net.nodes)
+    assert all(hood.border == [] for hood in spatial._hoods.values())
+
+
+def _speed_changing_world(speeds, ranges):
+    from repro.mobility import Highway
+    from repro.vehicles import VehicleNode
+
+    sim, net = make_net()
+    highway = Highway()
+    vehicles = []
+    for i, (speed, range_) in enumerate(zip(speeds, ranges)):
+        motion = VehicleMotion(
+            entry_time=0.0, entry_x=400.0 * i, speed=speed, lane_y=25.0
+        )
+        vehicle = VehicleNode(
+            sim, highway, f"veh-{i}", motion, transmission_range=range_
+        )
+        net.attach(vehicle)
+        vehicles.append(vehicle)
+    return sim, net, vehicles
+
+
+@given(
+    speeds=st.lists(
+        st.one_of(st.just(0.0), st.floats(-40.0, 40.0)), min_size=2, max_size=8
+    ),
+    ranges=st.lists(st.sampled_from([300.0, 600.0, 1000.0]), min_size=8, max_size=8),
+    changes=st.lists(
+        st.tuples(
+            st.floats(0.0, 2.0),  # simulated seconds before the change
+            st.sampled_from(["hold", "stop", "faster", "within"]),
+            st.integers(0, 7),
+            st.floats(0.0, 1.0),
+            st.booleans(),
+            st.floats(0.0, 2.0),  # simulated seconds before the queries
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_speed_changes_announced_through_set_speed_keep_the_oracle(
+    speeds, ranges, changes
+):
+    # A node's speed bounds its motion until its next announced change;
+    # speed changes at random instants, from a stop to faster than any
+    # speed seen and back, must reach the index through set_speed.
+    sim, net, vehicles = _speed_changing_world(speeds, ranges)
+
+    def check():
+        for node in vehicles:
+            for _ in range(3):  # scan, build, hit
+                assert net.neighbors(node) == brute_neighbors(net, node)
+
+    check()
+    fastest = max(abs(speed) for speed in speeds)
+    for wait, kind, pick, fraction, backwards, query_wait in changes:
+        sim.run(until=sim.now + wait)
+        vehicle = vehicles[pick % len(vehicles)]
+        sign = -1.0 if backwards else 1.0
+        if kind == "stop":
+            vehicle.set_speed(0.0)
+        elif kind == "faster":
+            fastest += 1.0 + 100.0 * fraction
+            vehicle.set_speed(sign * fastest)
+        elif kind == "within":
+            vehicle.set_speed(sign * fastest * fraction)
+        sim.run(until=sim.now + query_wait)
+        check()
 
 
 def test_spatial_config_validation():
@@ -470,7 +588,7 @@ def test_spatial_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(spatial_guard_band=0.0)
     with pytest.raises(ValueError):
-        ChannelConfig(spatial_max_speed=-1.0)
+        ChannelConfig(spatial_guard_band=-1.0)
 
 
 # ----------------------------------------------------------------------

@@ -530,6 +530,23 @@ def test_profiled_trial_matches_unprofiled_and_counts_executed_events(seed):
     session.world.close()
 
 
+def test_profiled_trial_labels_name_no_node():
+    # A label says what an event does, never whom it concerns, so the
+    # profile of a Table I trial keeps one row per kind of event (91
+    # rows, most of them one-event "veh-N crossing" ones, when crossings
+    # and probe and Hello timeouts carried a node's name).
+    session = begin_trial(TrialConfig(seed=1, profile=True))
+    profile = session.finish().profile
+    world = session.world
+    labels = {cost.label for cost in profile.breakdown}
+    names = {node.node_id for node in (*world.rsus, *world.vehicles)}
+    names |= {node.address for node in (*world.rsus, *world.vehicles)}
+    assert [label for label in labels if any(n in label for n in names)] == []
+    assert "crossing" in labels
+    assert len(labels) == 16
+    world.close()
+
+
 def test_uninstrumented_trial_carries_no_observability_payload():
     result = run_trial(TrialConfig(seed=3, table=TableIConfig(num_vehicles=20)))
     assert result.metrics is None
