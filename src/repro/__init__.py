@@ -5,8 +5,7 @@ A from-scratch reproduction of Albouq & Fredericks, ICDCS 2017.  The
 package layers, bottom up:
 
 - :mod:`repro.sim` — deterministic discrete-event engine.
-- :mod:`repro.net` — unit-disk radio, nodes, backbone, wire codec,
-  secure neighbour discovery.
+- :mod:`repro.net` — unit-disk radio, nodes, backbone, wire codec.
 - :mod:`repro.crypto` — simulated IEEE 1609.2-style PKI.
 - :mod:`repro.mobility` — highway and urban mobility.
 - :mod:`repro.routing` — AODV.

@@ -18,11 +18,6 @@ Public API
 
 from repro.clusters.builder import build_rsu_chain
 from repro.clusters.coverage import GridCoverage, HighwayCoverage
-from repro.clusters.infrastructure_routing import (
-    InfrastructureRouting,
-    install_infrastructure_routing,
-    send_via_infrastructure,
-)
 from repro.clusters.membership import MemberRecord, MembershipTable
 from repro.clusters.packets import JoinReply, JoinRequest, LeaveNotice
 from repro.clusters.rsu import RsuNode
@@ -30,7 +25,6 @@ from repro.clusters.rsu import RsuNode
 __all__ = [
     "GridCoverage",
     "HighwayCoverage",
-    "InfrastructureRouting",
     "JoinReply",
     "JoinRequest",
     "LeaveNotice",
@@ -38,6 +32,4 @@ __all__ = [
     "MembershipTable",
     "RsuNode",
     "build_rsu_chain",
-    "install_infrastructure_routing",
-    "send_via_infrastructure",
 ]

@@ -70,9 +70,8 @@ class RsuNode(Node):
         self.aodv = AodvProtocol(self, aodv_config)
         #: adjacent cluster heads (wired neighbours), set by the builder
         self.neighbor_rsus: list["RsuNode"] = []
-        #: observers fired on membership changes (join/leave address)
+        #: observers fired when a vehicle joins (its address)
         self.on_member_join: list[Callable[[str], None]] = []
-        self.on_member_leave: list[Callable[[str], None]] = []
         self.register_handler(JoinRequest, self._on_join_request)
         self.register_handler(LeaveNotice, self._on_leave_notice)
 
@@ -84,7 +83,6 @@ class RsuNode(Node):
         self.aodv = None
         self.neighbor_rsus.clear()
         self.on_member_join.clear()
-        self.on_member_leave.clear()
 
     # ------------------------------------------------------------------
     # Join / leave
@@ -148,8 +146,6 @@ class RsuNode(Node):
                 ).set(len(self.membership))
             if obs.trace is not None:
                 obs.trace.emit(self.node_id, "cluster.leave", detail=sender)
-            for observer in self.on_member_leave:
-                observer(sender)
 
     # ------------------------------------------------------------------
     # Backbone messaging

@@ -70,17 +70,6 @@ class _Obligation:
             and packet.hops_travelled == self.hops_travelled + 1
         )
 
-    def is_duplicate_of(self, other: "_Obligation") -> bool:
-        """Same hand-off signature recorded at the same instant — a
-        duplicate radio copy of one packet, not a second obligation."""
-        return (
-            other.member == self.member
-            and other.originator == self.originator
-            and other.final_destination == self.final_destination
-            and other.hops_travelled == self.hops_travelled
-            and other.deadline == self.deadline
-        )
-
 
 @dataclass
 class ForwardingLedger:
@@ -261,14 +250,10 @@ class InfrastructureWatchdog:
 
     def _convict(self, member: str, ledger: ForwardingLedger) -> None:
         """Hand the forwarding violator to the isolation machinery."""
-        record = self.service.convict_forwarding_violator(
+        self.service.convict_forwarding_violator(
             member,
             evidence=(
                 f"forwarded {ledger.forwarded}/{ledger.forwarded + ledger.dropped}"
                 f" observed transit packets"
             ),
-        )
-        self.rsu.sim.logger.warning(
-            self.rsu.node_id,
-            f"watchdog convicted {member}: {record.breakdown[0]}",
         )

@@ -26,10 +26,6 @@ class PseudonymManager:
         self._prefix = prefix
         self._issued: set[str] = set()
 
-    @property
-    def issued_count(self) -> int:
-        return len(self._issued)
-
     def issue(self) -> str:
         """Return a fresh pseudonym never returned before by this manager."""
         while True:
@@ -37,7 +33,3 @@ class PseudonymManager:
             if candidate not in self._issued:
                 self._issued.add(candidate)
                 return candidate
-
-    def was_issued(self, pseudonym: str) -> bool:
-        """True if this manager produced ``pseudonym``."""
-        return pseudonym in self._issued

@@ -63,9 +63,6 @@ class RevocationList:
         """True if any certificate of this pseudonym has been revoked."""
         return bool(self._serials_by_id.get(subject_id))
 
-    def entry_for_serial(self, serial: int) -> RevocationEntry | None:
-        return self._by_serial.get(serial)
-
     def merge(self, other: "RevocationList | list[RevocationEntry]") -> int:
         """Absorb entries from a received notice; returns how many were new."""
         added = 0

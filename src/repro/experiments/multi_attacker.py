@@ -104,30 +104,3 @@ def run_multi_attacker_trial(
         detections=detections,
         packets=packets,
     )
-
-
-def _campaign_point(
-    seed: int, attacker_clusters: tuple[int, ...], background: int
-) -> MultiAttackerResult:
-    """Positional wrapper for the executor (module-level, picklable)."""
-    return run_multi_attacker_trial(
-        attacker_clusters=attacker_clusters, seed=seed, background=background
-    )
-
-
-def run_multi_attacker_batch(
-    seeds: tuple[int, ...],
-    *,
-    attacker_clusters: tuple[int, ...] = (2, 5, 8),
-    background: int = 30,
-    parallel=None,
-) -> list[MultiAttackerResult]:
-    """One simultaneous-campaign trial per seed, optionally fanned out.
-
-    Results come back in ``seeds`` order regardless of worker count, so
-    aggregate statistics over the batch are reproducible.
-    """
-    points = [(seed, attacker_clusters, background) for seed in seeds]
-    if parallel is not None:
-        return parallel.map(_campaign_point, points)
-    return [_campaign_point(*point) for point in points]

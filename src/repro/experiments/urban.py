@@ -240,14 +240,20 @@ def format_urban_density(rows: list[UrbanDensityRow]) -> str:
     return "\n".join(lines)
 
 
-def _run_trial_in(world: UrbanWorld) -> tuple[bool, UrbanTrialResult]:
-    """Run the standard urban trial inside a pre-built world."""
+def _run_trial_in(
+    world: UrbanWorld, background: int = 10
+) -> tuple[bool, UrbanTrialResult]:
+    """Run the standard urban trial inside a pre-built world.
+
+    Returns whether any RSU covers the attacker's position, and the
+    trial's result.
+    """
     grid = world.grid
     rng = world.sim.rng("urban-placement")
-    for index in range(10):
+    for index in range(background):
         start = (rng.randrange(grid.blocks_x + 1), rng.randrange(grid.blocks_y + 1))
         add_urban_vehicle(world, f"uveh-{index}", start)
-    source = add_urban_vehicle(world, "source", (0, 0), speed=0.001)
+    add_urban_vehicle(world, "source", (0, 0), speed=0.001)
     attacker = add_urban_vehicle(
         world, "attacker", (2, 2), speed=0.001, attacker=True, verifier=False
     )
@@ -280,35 +286,4 @@ def _run_trial_in(world: UrbanWorld) -> tuple[bool, UrbanTrialResult]:
 
 def run_urban_trial(*, seed: int = 3, background: int = 10) -> UrbanTrialResult:
     """One urban detection trial: source vs a parked mid-grid black hole."""
-    world = build_urban_world(seed=seed)
-    grid = world.grid
-    rng = world.sim.rng("urban-placement")
-    for index in range(background):
-        start = (rng.randrange(grid.blocks_x + 1), rng.randrange(grid.blocks_y + 1))
-        add_urban_vehicle(world, f"uveh-{index}", start)
-    source = add_urban_vehicle(world, "source", (0, 0), speed=0.001)
-    attacker = add_urban_vehicle(
-        world, "attacker", (2, 2), speed=0.001, attacker=True, verifier=False
-    )
-    destination = add_urban_vehicle(
-        world, "destination", (grid.blocks_x, grid.blocks_y), speed=0.001
-    )
-    world.sim.run(until=1.0)
-    outcomes = []
-    world.verifiers["source"].establish_route(destination.address, outcomes.append)
-    world.sim.run(until=world.sim.now + 60.0)
-    records = world.all_records()
-    attacker_addresses = {attacker.address}
-    convicted = {
-        suspect
-        for record in records
-        if record.verdict == "black-hole"
-        for suspect in [record.suspect, *record.cooperative_with]
-    }
-    return UrbanTrialResult(
-        detected=bool(convicted & attacker_addresses),
-        false_positive=bool(convicted - attacker_addresses),
-        verdicts=[record.verdict for record in records],
-        packets=records[0].packets if records else None,
-        outcome_reason=outcomes[0].reason if outcomes else "no-outcome",
-    )
+    return _run_trial_in(build_urban_world(seed=seed), background)[1]

@@ -307,10 +307,11 @@ class Network:
     def neighbors(self, node: Node) -> list[Node]:
         """Nodes currently within bidirectional radio range.
 
-        This is the output of the secure-neighbour-discovery layer the
-        paper assumes ("nodes can perform secure neighbor discovery by
-        mutual authentication when two nodes are within the transmission
-        range of each other"); only attached, in-range nodes appear, in
+        The medium models the outcome of the secure neighbour discovery
+        the paper assumes ("nodes can perform secure neighbor discovery
+        by mutual authentication when two nodes are within the
+        transmission range of each other") directly: no discovery
+        protocol runs, and only attached, in-range nodes appear, in
         attach order.  Served by the grid index (the brute-force scan's
         result, at O(nearby cells) instead of O(N)).
         """
@@ -610,8 +611,6 @@ class Network:
                             handler = receiver._resolve_handler(ptype)
                         if handler is not None:
                             handler(packet, sender_address)
-                        else:
-                            receiver.handle_unknown(packet, sender_address)
             # -- drain: is the loop's next event another of our legs? --
             if sim._stopped or not heap:
                 return
@@ -672,8 +671,6 @@ class Network:
                         handler = receiver._resolve_handler(ptype)
                     if handler is not None:
                         handler(packet, sender_address)
-                    else:
-                        receiver.handle_unknown(packet, sender_address)
             return
         counter = (
             obs.metrics.counter("net.delivered", kind=packet.kind)

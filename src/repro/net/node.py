@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.packets import Packet
-from repro.sim.logging import DEBUG
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,9 +68,9 @@ class Node:
         self.packets_received = 0
         self.packets_sent = 0
         #: optional admission predicate over (packet, sender address);
-        #: packets it rejects are dropped before any handler runs.  The
-        #: secure-neighbour-discovery layer wires itself in here to keep
-        #: unauthenticated senders out of the protocol stack entirely.
+        #: packets it rejects are dropped before any handler runs.  BlackDP's
+        #: route verifier installs its blacklist here, so a revoked
+        #: pseudonym cannot even serve as a relay.
         self.gate: Callable[[Packet, str], bool] | None = None
         self.packets_gated = 0
 
@@ -179,17 +178,6 @@ class Node:
             handler = self._resolve_handler(type(packet))
         if handler is not None:
             handler(packet, sender_address)
-        else:
-            self.handle_unknown(packet, sender_address)
-
-    def handle_unknown(self, packet: Packet, sender_address: str) -> None:
-        """Hook for packets with no registered handler; default: log."""
-        logger = self.sim.logger
-        # Level check before the f-string: unhandled packets are common
-        # (non-member broadcasts) and the rendered message is pure waste
-        # at the default WARNING threshold.
-        if logger.level <= DEBUG:
-            logger.debug(self.node_id, f"dropping unhandled {packet.describe()}")
 
     def close(self) -> None:
         """Drop this node's handlers, dispatch cache and gate.

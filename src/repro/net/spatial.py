@@ -163,7 +163,6 @@ class SpatialIndex:
         self._hoods: dict[Node, _Hood | None] = {}
         #: plain counters, readable without enabling the metrics hub
         self.rebuilds = 0
-        self.incremental_updates = 0
         self.queries = 0
         #: neighbourhood entries built, and queries served from one
         self.hood_builds = 0
@@ -192,14 +191,12 @@ class SpatialIndex:
         if self._dirty or self._outruns_epoch(node):
             return  # the pending rebuild will pick it up
         self._insert(node)
-        self.incremental_updates += 1
 
     def remove(self, node: Node) -> None:
         """Drop a detached node from the index."""
         self._order.pop(node, None)
         self._hoods.clear()
         self._evict(node)
-        self.incremental_updates += 1
 
     def move(self, node: Node) -> None:
         """Re-snapshot one node after an explicit position change."""
@@ -208,7 +205,6 @@ class SpatialIndex:
             return
         self._evict(node)
         self._insert(node)
-        self.incremental_updates += 1
 
     def _outruns_epoch(self, node: Node) -> bool:
         """Mark the index dirty when ``node`` is faster than the epoch's
@@ -312,26 +308,6 @@ class SpatialIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def candidates(self, position: tuple[float, float], radius: float) -> list[Node]:
-        """Every indexed node whose *snapshot* lies within ``radius`` + one
-        cell of ``position``, in attach order (a superset of the nodes
-        currently within ``radius - guard_band``)."""
-        size = self._cell_size
-        x, y = position
-        x0 = math.floor((x - radius) / size)
-        x1 = math.floor((x + radius) / size)
-        y0 = math.floor((y - radius) / size)
-        y1 = math.floor((y + radius) / size)
-        cells = self._cells
-        found: list[Node] = []
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                bucket = cells.get((cx, cy))
-                if bucket:
-                    found.extend(bucket)
-        found.sort(key=self._order.__getitem__)
-        return found
-
     def neighbors(self, node: Node) -> list[Node]:
         """Attached nodes in bidirectional range of ``node``, attach-ordered.
 
@@ -516,10 +492,11 @@ class SpatialIndex:
         # guard-band-widened disk around the querier covers every
         # candidate snapshot.
         reach = node.transmission_range + self.guard_band
-        # Inlined candidates() + _pair_in_range.  Filtering candidates
-        # cell-by-cell and sorting only the survivors is equivalent to
-        # sort-then-filter — the attach-order sort key is position-
-        # independent — but skips materialising the superset list.
+        # The grid-cell scan with _pair_in_range inlined.  Filtering
+        # candidates cell-by-cell and sorting only the survivors is
+        # equivalent to sort-then-filter — the attach-order sort key is
+        # position-independent — but skips materialising the superset
+        # list.
         #
         # Drift-bound classification: a candidate's *current* position
         # lies within ``slack = v_max * (now - built_at)`` metres of its

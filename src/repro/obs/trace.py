@@ -1,7 +1,6 @@
 """Structured event tracing with JSONL export and causality views.
 
-Where :mod:`repro.sim.logging` keeps free-text strings, the
-:class:`TraceCollector` keeps *typed* records: every emit names the node
+The :class:`TraceCollector` keeps *typed* records: every emit names the node
 that acted, an event kind (``net.send``, ``aodv.rrep_tx``,
 ``exam.verdict``…), and — when a packet was involved — the packet's
 kind, uid and endpoints.  A ``cause`` tag links derived events back to

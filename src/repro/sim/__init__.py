@@ -3,7 +3,7 @@
 The paper evaluates BlackDP in a custom connected-vehicle simulation; this
 package provides the equivalent substrate: a deterministic event-driven
 simulator with a monotonic virtual clock, seeded random-number streams and
-simulation-time-aware logging.
+timers.  Records of what happened go through :mod:`repro.obs`.
 
 Public API
 ----------
@@ -16,12 +16,9 @@ Public API
   -- cancellable one-shot and repeating timers.
 - :class:`~repro.sim.wheel.TimerWheel` -- hierarchical buckets for
   timer-class events (O(1) restart/cancel).
-- :class:`~repro.sim.logging.SimLogger` -- logger that stamps records with
-  the virtual clock.
 """
 
 from repro.sim.events import Event, EventQueue
-from repro.sim.logging import SimLogger
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator, SimulationError
 from repro.sim.timers import PeriodicTimer, Timer
@@ -32,7 +29,6 @@ __all__ = [
     "EventQueue",
     "PeriodicTimer",
     "RandomStreams",
-    "SimLogger",
     "SimulationError",
     "Simulator",
     "Timer",

@@ -43,7 +43,6 @@ from heapq import heappop
 
 from repro.obs import Observability, RunProfiler
 from repro.sim.events import Event, EventQueue, PRIORITY_NORMAL
-from repro.sim.logging import WARNING, SimLogger
 from repro.sim.rng import RandomStreams
 
 
@@ -73,13 +72,10 @@ class Simulator:
     ['tick']
     """
 
-    def __init__(self, *, seed: int = 0, log_level: int | None = None) -> None:
+    def __init__(self, *, seed: int = 0) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
         self.streams = RandomStreams(seed)
-        self.logger = SimLogger(
-            self, level=WARNING if log_level is None else log_level
-        )
         self.obs = Observability(self)
         self._running = False
         self._stopped = False
@@ -300,13 +296,12 @@ class Simulator:
         that scheduled them, so dropping them breaks the simulator's
         share of the world's reference cycles (see
         :meth:`World.close <repro.experiments.world.World.close>`).
-        The observability hub and the logger point back at the
-        simulator, so both are dropped too.  Counters such as
+        The observability hub points back at the simulator, so it is
+        dropped too.  Counters such as
         :attr:`events_executed` stay readable.
         """
         self.queue.clear()
         self.obs = None
-        self.logger = None
 
     # ------------------------------------------------------------------
     # Observability

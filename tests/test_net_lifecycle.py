@@ -186,18 +186,6 @@ def test_dispatch_cache_invalidated_on_new_registration():
     assert got == ["base", "middle"]
 
 
-def test_unhandled_packet_falls_through_to_handle_unknown():
-    sim, net = make_net()
-    a = add_node(sim, net, "a", 0)
-    b = add_node(sim, net, "b", 100)
-    unknown = []
-    b.handle_unknown = lambda p, s: unknown.append(p)
-    b.register_handler(Middle, lambda p, s: None)
-    a.send(Base(src="a", dst="b"))  # Base is NOT a Middle
-    sim.run()
-    assert len(unknown) == 1
-
-
 def test_chaining_via_handler_for_still_works():
     # The examiner pattern: wrap the currently registered handler.
     sim, net = make_net()

@@ -180,20 +180,3 @@ def test_periodic_firing_at_until_boundary_reschedules_but_stops():
     assert p.running  # the next occurrence (t=6) is armed but not run
     sim.run(until=4.0)
     assert hits == [2.0, 4.0]  # re-running to the same boundary is a no-op
-
-
-def test_logger_records_with_sim_time():
-    sim = Simulator(log_level=10)
-    sim.schedule(4.2, lambda: sim.logger.info("test", "hello"))
-    sim.run()
-    record = sim.logger.records[-1]
-    assert record.time == 4.2
-    assert record.message == "hello"
-    assert "4.2" in record.format()
-
-
-def test_logger_threshold_filters():
-    sim = Simulator(log_level=30)
-    sim.logger.debug("x", "dropped")
-    sim.logger.warning("x", "kept")
-    assert sim.logger.messages(source="x") == ["kept"]
