@@ -17,7 +17,6 @@ Run:  python examples/evasive_attacker.py
 """
 
 from repro.attacks import AttackerPolicy
-from repro.core import BlackDpConfig
 from repro.experiments.config import TableIConfig, TrialConfig
 from repro.experiments.trial import run_trial
 

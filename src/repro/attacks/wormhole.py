@@ -158,10 +158,6 @@ class WormholeVehicle(VehicleNode):
             return WormholeAodv(self, config, identity=self.identity)
         return super()._make_aodv(config)
 
-    @property
-    def is_entry(self) -> bool:
-        return self._entry
-
 
 def _sees(exit_node: WormholeVehicle, address: str) -> bool:
     """Tunnel lookup: is ``address`` a radio neighbour of the exit?

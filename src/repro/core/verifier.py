@@ -78,26 +78,6 @@ class _Case:
     finished: bool = False
 
 
-class _BlacklistGate:
-    """Admission gate dropping transmissions from blacklisted pseudonyms.
-
-    A module-level callable class (rather than a closure) so a vehicle
-    carrying it can be pickled into a world snapshot.  Chains to the gate
-    that was installed before it, preserving stacked gate semantics.
-    """
-
-    __slots__ = ("vehicle", "previous")
-
-    def __init__(self, vehicle: VehicleNode, previous) -> None:
-        self.vehicle = vehicle
-        self.previous = previous
-
-    def __call__(self, packet, sender: str) -> bool:
-        if sender in self.vehicle.blacklist:
-            return False
-        return self.previous(packet, sender) if self.previous else True
-
-
 class RouteVerifier:
     """Attach BlackDP verification to an honest vehicle.
 
@@ -130,10 +110,13 @@ class RouteVerifier:
         # And "avoid communications with the attacker(s)" entirely: any
         # transmission from a blacklisted pseudonym is dropped at the
         # admission gate, so a revoked node cannot even serve as a relay.
-        vehicle.gate = _BlacklistGate(vehicle, vehicle.gate)
+        vehicle.gate = self._admissible
 
     def _reply_admissible(self, reply: RouteReply) -> bool:
         return reply.replied_by not in self.vehicle.blacklist
+
+    def _admissible(self, packet, sender: str) -> bool:
+        return sender not in self.vehicle.blacklist
 
     # ------------------------------------------------------------------
     # Public API

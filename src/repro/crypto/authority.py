@@ -39,9 +39,7 @@ class Enrolment:
     def identity(self) -> tuple[Certificate, object]:
         """Credential provider ``() -> (certificate, private key)``.
 
-        Assignable directly as an AODV identity hook; a bound method of a
-        plain dataclass, so worlds holding it stay snapshot-serializable
-        (a lambda here would not pickle).
+        Assignable directly as an AODV identity hook.
         """
         return (self.certificate, self.keypair.private)
 
@@ -206,10 +204,6 @@ class TrustedAuthority:
         """Directly pause renewals for a long-term identity."""
         self.paused.add(long_term_id)
 
-    def owner_of(self, pseudonym: str) -> str | None:
-        """TA-private lookup of the identity behind a pseudonym."""
-        return self._owner_of.get(pseudonym)
-
     def certificate_for(self, pseudonym: str) -> Certificate | None:
         """TA-private lookup of the certificate issued to a pseudonym
         (used when a CH requests revocation by pseudonym only)."""
@@ -232,7 +226,7 @@ class TrustedAuthorityNetwork:
         self._rng = rng
         self.root_keypair: KeyPair = generate_keypair(rng)
         self.authorities: dict[str, TrustedAuthority] = {}
-        #: next certificate serial (a plain int so snapshots pickle it)
+        #: next certificate serial
         self._next_serial = 1
         #: cluster id -> TA id responsible for it
         self._region_of: dict[str, str] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import BlackDpConfig, DetectionRequest
+from repro.core import DetectionRequest
 from repro.core.processing import RsuProcessor
 from repro.experiments.world import build_world
 from repro.metrics import summarize

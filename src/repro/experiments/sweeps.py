@@ -36,9 +36,6 @@ class ComparisonRow:
     scenario: str
     detected_by: dict[str, bool] = field(hash=False, default_factory=dict)
 
-    def winners(self) -> list[str]:
-        return sorted(m for m, ok in self.detected_by.items() if ok)
-
 
 def _collect_replies(world, source, destination_address):
     """Run one discovery and return the source's replies in arrival order."""

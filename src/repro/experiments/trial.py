@@ -42,7 +42,6 @@ __all__ = [
     "begin_trial",
     "choose_destination_cluster",
     "run_trial",
-    "run_trial_arms",
     "sample_policy",
 ]
 
@@ -194,16 +193,14 @@ def choose_destination_cluster(config: TrialConfig) -> int:
 
 @dataclass
 class TrialSession:
-    """One seeded trial as a *resumable* object.
+    """One seeded trial as a live object that a caller can step.
 
     A session owns the fully assembled world plus the orchestration state
     that used to live in :func:`run_trial`'s local variables (pending
     outcomes, whether verification has been kicked off, the settle
-    deadline).  Because all of it is picklable, a session can be
-    checkpointed with :meth:`snapshot` at *any* pause point — mid
-    warm-up, mid verification — and :meth:`restore`\\ d later; running
-    the restored session to completion is byte-identical to never having
-    paused (``tests/test_snapshot_equivalence.py``).
+    deadline), so a caller can hold the live world while it runs
+    (``blackdp trial --serve-metrics`` serves its metrics) or advance it
+    in steps with :meth:`run_to`.
 
     Driving a session through :meth:`run_to`/:meth:`finish` performs
     exactly the call sequence of the original monolithic ``run_trial``,
@@ -220,7 +217,7 @@ class TrialSession:
     #: initial attacker pseudonyms (renewals are collected at finish)
     attacker_addresses: set[str] = field(default_factory=set)
     #: verification outcomes delivered so far (the pending callback is
-    #: ``self.outcomes.append`` — picklable, unlike a closure)
+    #: ``self.outcomes.append``)
     outcomes: list[VerificationOutcome] = field(default_factory=list)
     verification_started: bool = False
     #: absolute virtual time at which the settle phase ends
@@ -233,20 +230,17 @@ class TrialSession:
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-    def run_to(self, until: float, *, verify: bool = True) -> None:
+    def run_to(self, until: float) -> None:
         """Advance the trial to absolute virtual time ``until``.
 
         Crossing the warm-up boundary kicks off route verification at
-        exactly ``t = warmup`` (matching the monolithic driver).  Pass
-        ``verify=False`` to pause *at* the boundary without starting
-        verification — the fork-at-time seam: treatment arms diverge
-        after the shared warm-up.
+        exactly ``t = warmup`` (matching the monolithic driver).
         """
         sim = self.world.sim
         if not self.verification_started:
             warmup = self.config.warmup
             sim.run(until=min(until, warmup))
-            if verify and until >= warmup:
+            if until >= warmup:
                 self._begin_verification()
         if until > sim.now:
             sim.run(until=until)
@@ -306,44 +300,6 @@ class TrialSession:
         return self._classify()
 
     # ------------------------------------------------------------------
-    # Treatments (fork-at-time arms)
-    # ------------------------------------------------------------------
-    def apply_blackdp_config(self, config) -> None:
-        """Swap the BlackDP treatment on every verifier and detector.
-
-        Only valid before verification starts: the config objects are
-        consulted lazily once detection traffic begins, never during
-        world construction or warm-up, so a forked warm world under a
-        swapped config behaves exactly like a world built with it.
-        """
-        if self.verification_started:
-            raise RuntimeError("treatment must be applied before verification")
-        self.world.blackdp_config = config
-        for verifier in self.world.verifiers.values():
-            verifier.config = config
-        for service in self.world.services:
-            service.config = config
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialize the entire session (world + orchestration state)."""
-        from repro.snapshot import snapshot
-
-        return snapshot(self)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "TrialSession":
-        """Rebuild a session checkpointed with :meth:`snapshot`."""
-        from repro.snapshot import restore
-
-        session = restore(blob)
-        if not isinstance(session, cls):
-            raise TypeError(f"snapshot does not hold a {cls.__name__}")
-        return session
-
-    # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
     def _classify(self) -> TrialResult:
@@ -359,10 +315,7 @@ class TrialSession:
         for attacker in self.attackers:
             addresses.add(attacker.address)
             addresses.update(getattr(attacker, "addresses_used", ()))
-        # Rebuilt in sorted order: a set's iteration order depends on its
-        # insertion history, which unpickling a snapshot does not keep,
-        # and a restored trial must pickle to the same bytes.
-        result.attacker_addresses = set(sorted(addresses))
+        result.attacker_addresses = addresses
         result.honest_addresses = {
             vehicle.address
             for vehicle in self.background + [self.source, self.destination]
@@ -495,36 +448,9 @@ def run_trial(config: TrialConfig) -> TrialResult:
     result is built (:meth:`World.close
     <repro.experiments.world.World.close>`): reference counting frees it
     at once instead of leaving thousands of objects in cycles for the
-    collector.  Sessions, fork points and live runs keep their worlds.
+    collector.  Sessions driven by their callers keep their worlds.
     """
     session = begin_trial(config)
     result = session.finish()
     session.world.close()
     return result
-
-
-def run_trial_arms(config: TrialConfig, arms: dict) -> dict[str, TrialResult]:
-    """Fork-at-time comparison: one warm-up, many treatment arms.
-
-    Builds and warms *one* world for ``config``, captures it at the
-    warm-up boundary, then forks an independent copy per arm — ``arms``
-    maps arm name to the :class:`~repro.core.config.BlackDpConfig`
-    treatment it runs under.  Each arm's result is identical to a cold
-    ``run_trial`` with that treatment (the treatment config is never
-    consulted before verification starts), but the N-1 redundant
-    warm-ups are skipped.
-    """
-    import dataclasses
-
-    from repro.snapshot import ForkPoint
-
-    session = begin_trial(config)
-    session.run_to(config.warmup, verify=False)
-    point = ForkPoint(session)
-    results: dict[str, TrialResult] = {}
-    for name, treatment in arms.items():
-        forked = point.fork()
-        forked.apply_blackdp_config(treatment)
-        forked.config = dataclasses.replace(config, blackdp=treatment)
-        results[name] = forked.finish()
-    return results

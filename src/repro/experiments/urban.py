@@ -225,21 +225,6 @@ def run_urban_density_sweep(
     return [_density_point(*point) for point in points]
 
 
-def format_urban_density(rows: list[UrbanDensityRow]) -> str:
-    lines = [
-        "Urban extension — detection vs RSU density",
-        f"{'spacing':>7} {'RSUs':>5} {'coverage':>9} {'attacker covered':>16} "
-        f"{'detected':>8} {'FP':>4}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.rsu_spacing:>7d} {row.rsus:>5d} "
-            f"{row.coverage_fraction:>9.2f} {str(row.attacker_covered):>16} "
-            f"{str(row.detected):>8} {str(row.false_positive):>4}"
-        )
-    return "\n".join(lines)
-
-
 def _run_trial_in(
     world: UrbanWorld, background: int = 10
 ) -> tuple[bool, UrbanTrialResult]:

@@ -23,7 +23,7 @@ body starts with the common ``src``/``dst`` strings (written by
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable
+from typing import Callable
 
 from repro.clusters.packets import JoinReply, JoinRequest, LeaveNotice
 from repro.core.packets import (

@@ -55,7 +55,7 @@ epoch (Hello beacons in a moving world, the sparse broadcasts of a
 Table I trial) never pay for an entry; flood senders, which broadcast
 dozens of times per epoch, and beaconing nodes of a static mesh stop
 re-scanning the grid.  Any rebuild, attach, detach, teleport or speed
-change drops every entry, and snapshots never carry them.
+change drops every entry.
 
 :meth:`SpatialIndex.reach` also answers which radio taps (monitor
 registrations) overhear a broadcast: the registered monitors among its
@@ -167,13 +167,6 @@ class SpatialIndex:
         #: neighbourhood entries built, and queries served from one
         self.hood_builds = 0
         self.hood_hits = 0
-
-    def __getstate__(self) -> dict:
-        # The neighbourhood cache is derived state: a restored world
-        # rebuilds it rather than trusting a pickled copy.
-        state = self.__dict__.copy()
-        state["_hoods"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Incremental membership updates (called by the Network)

@@ -79,8 +79,7 @@ class MetricGauge:
         For instruments whose producer maintains the true maximum
         continuously (e.g. queue depth): deriving the peak from sampled
         ``set`` calls would make it depend on publish cadence, so the
-        recorded high-water would change with how a run is segmented —
-        which snapshot/restore golden traces forbid.
+        recorded high-water would change with how a run is segmented.
         """
         self.value = value
         if high_water > self.high_water:
@@ -106,8 +105,7 @@ class MetricHistogram:
         self._size = reservoir_size
         # A dedicated RNG, never the process-global ``random`` module:
         # reservoir draws must not perturb (or be perturbed by) anything
-        # else, and ``random.Random`` state pickles, so a snapshotted
-        # registry resumes its reservoir exactly where it paused.
+        # else.
         self._rng = rng or random.Random(DEFAULT_RESERVOIR_SEED)
 
     def observe(self, value: float) -> None:
@@ -195,7 +193,7 @@ class MetricsRegistry:
             # registry seed and the instrument's rendered key: the
             # reservoir of one instrument is then independent of the
             # creation and observation order of every other, identical
-            # across runs, processes and snapshot/restore.
+            # across runs and processes.
             rng = random.Random(
                 self._seed ^ zlib.crc32(format_key(key).encode())
             )

@@ -18,9 +18,7 @@ Determinism rules
   touches no protocol state, so enabling it leaves the simulation's
   event stream byte-identical (pinned by ``tests/test_telemetry.py``).
 - All state (ring buffers, the pending tick, the cadence) lives on the
-  recorder and the event queue, both of which pickle — a snapshotted
-  world resumes sampling exactly where it paused, per the PR 5
-  golden-trace guarantee.
+  recorder and the event queue.
 
 Memory is bounded: each series is a ring of ``capacity`` points; older
 points are overwritten and counted in :attr:`TimeSeriesRecorder.evicted`,
@@ -264,8 +262,8 @@ class TimeSeriesRecorder:
         Registry dicts are insertion-ordered and append-only, so when the
         registry object is unchanged only the *new tail* of each dict
         needs a ring and a rendered name — growth is O(new instruments),
-        not O(all instruments), no matter how often it happens.  A
-        registry swap (snapshot restore blanks the caches) starts over.
+        not O(all instruments), no matter how often it happens.  The
+        first tick, or a registry swap, starts over.
         """
         from repro.obs.metrics import format_key
 
@@ -328,20 +326,6 @@ class TimeSeriesRecorder:
             overflow = appends - (series._values.maxlen or appends)
             if overflow > 0:
                 series.evicted = overflow
-
-    def __getstate__(self) -> dict:
-        # The append caches hold bound deque methods; drop them from
-        # snapshots and let the first post-restore tick rebuild them.
-        state = self.__dict__.copy()
-        state["_registry"] = None
-        state["_counters"] = []
-        state["_counter_appends"] = []
-        state["_gauges"] = []
-        state["_gauge_appends"] = []
-        state["_histograms"] = []
-        state["_histogram_count_appends"] = []
-        state["_histogram_sum_appends"] = []
-        return state
 
     # ------------------------------------------------------------------
     # Reading

@@ -217,10 +217,6 @@ class TraceCollector:
             out.append(event)
         return out
 
-    def packet_events(self, uid: int) -> list[TraceEvent]:
-        """Every event that directly references packet ``uid``."""
-        return [e for e in self.events if e.packet_uid == uid]
-
     def follow(self, uid: int, *, max_depth: int = 32) -> list[TraceEvent]:
         """The causality view: a packet's path through the network.
 

@@ -149,11 +149,7 @@ class _Discovery:
 
 
 def _discard_result(result: DiscoveryResult) -> None:
-    """No-op discovery callback (local repair relies on the flush hook).
-
-    Module-level so pending repair discoveries stay picklable in world
-    snapshots.
-    """
+    """No-op discovery callback (local repair relies on the flush hook)."""
 
 
 @dataclass

@@ -175,9 +175,7 @@ class RoutingTable:
         entry = self._routes.get(destination)
         if entry is None:
             return
-        # Test the type, not identity with ``_NO_PRECURSORS``: a restored
-        # snapshot unpickles its own empty frozenset.
-        if entry.precursors.__class__ is frozenset:
+        if entry.precursors is _NO_PRECURSORS:
             entry.precursors = {neighbor}
         else:
             entry.precursors.add(neighbor)

@@ -50,9 +50,6 @@ loop's bookkeeping (live count, detach, clock, executed count) for it.
 Execution order is the heap's order either way; only the trip back
 through :meth:`Simulator.run <repro.sim.simulator.Simulator.run>` is
 saved.
-
-The sequence counter is a plain ``int``, so snapshots pickle it as the
-next number to hand out.
 """
 
 from __future__ import annotations

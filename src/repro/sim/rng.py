@@ -55,7 +55,7 @@ class RandomStreams:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # Fingerprinting
     # ------------------------------------------------------------------
     def getstate(self) -> dict:
         """Capture every stream's generator state, name-ordered.
@@ -72,17 +72,3 @@ class RandomStreams:
                 for name in sorted(self._streams)
             },
         }
-
-    def setstate(self, state: dict) -> None:
-        """Restore a :meth:`getstate` capture.
-
-        Streams absent from ``state`` are dropped; streams present are
-        recreated and rewound, so draws after restore continue exactly
-        where the captured run left off.
-        """
-        self.seed = int(state["seed"])
-        self._streams = {}
-        for name, stream_state in state["streams"].items():
-            stream = random.Random()
-            stream.setstate(stream_state)
-            self._streams[name] = stream

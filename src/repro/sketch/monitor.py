@@ -25,8 +25,7 @@ isolated exactly like a probed black hole.
 
 The monitor is passive: it never transmits, draws nothing from the
 simulation RNG, and (while it convicts nobody) leaves the protocol
-event stream byte-identical — pinned by the golden-trace test.  All
-state is plain data, so worlds with monitors snapshot/restore cleanly.
+event stream byte-identical — pinned by the golden-trace test.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Two classic structures back the aggregate monitor:
 Both are deterministic (hash salts derive from an explicit seed),
 mergeable (epoch sketches fold into cumulative ones; same-seed
 sketches from different RSUs fold into a fleet-wide view), hold only
-numbers in plain containers and typed arrays, so they pickle/snapshot
-cleanly, and draw nothing from the simulation RNG.
+numbers in plain containers and typed arrays, and draw nothing from the
+simulation RNG.
 """
 
 from __future__ import annotations
@@ -103,18 +103,6 @@ class CountMinSketch:
         self._rows = None
         self.total = 0.0
 
-    def __getstate__(self):
-        return (self.width, self.depth, self.seed, self.total, self._rows)
-
-    def __setstate__(self, state) -> None:
-        width, depth, seed, total, rows = state
-        self.width = width
-        self.depth = depth
-        self.seed = seed
-        self.total = total
-        self._salts = tuple(_salt(seed, row) for row in range(depth))
-        self._rows = rows
-
 
 class SpaceSavingSummary:
     """Space-saving heavy hitters: top keys by (over-)estimated count.
@@ -184,9 +172,3 @@ class SpaceSavingSummary:
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
-
-    def __getstate__(self):
-        return (self.capacity, self.total, self._entries)
-
-    def __setstate__(self, state) -> None:
-        self.capacity, self.total, self._entries = state

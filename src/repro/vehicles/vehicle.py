@@ -96,8 +96,7 @@ class VehicleNode(Node):
         return AodvProtocol(self, config, identity=self.identity)
 
     def _cluster_info(self) -> int:
-        """AODV's cluster hook; a bound method (not a lambda) so that a
-        live vehicle remains snapshot-serializable."""
+        """AODV's cluster hook."""
         return self.current_cluster or 0
 
     # ------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for RSU cluster heads: join/leave, coverage, backbone wiring."""
 
-import pytest
-
 from repro.clusters import MemberRecord, MembershipTable, build_rsu_chain
 from repro.mobility import Highway, VehicleMotion
 from repro.net import Network

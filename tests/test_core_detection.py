@@ -1,8 +1,6 @@
 """Integration tests for RSU-side detection, verdicts and Figure 5 packet
 accounting."""
 
-import pytest
-
 from repro.attacks import AttackerPolicy
 from repro.core import BlackDpConfig, DetectionRequest
 from repro.core.packets import (

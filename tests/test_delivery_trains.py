@@ -1,6 +1,6 @@
-"""Delivery trains: snapshots taken mid-train, train lifetime, handlers
-that raise between legs, flat memory in a steady beacon mesh, and the
-edge cases of draining legs in place.
+"""Delivery trains: train lifetime, handlers that raise between legs,
+flat memory in a steady beacon mesh, and the edge cases of draining
+legs in place.
 
 A broadcast whose receivers draw several arrival times rides one
 delivery train (``repro.net.network``): one event re-queued leg by leg.
@@ -26,7 +26,6 @@ from repro.net import BROADCAST, ChannelConfig, Network, Node, Packet
 from repro.net.network import _Train
 from repro.routing.protocol import AodvConfig, AodvProtocol
 from repro.sim import SimulationError, Simulator
-from repro.snapshot import restore, snapshot
 from tests.helpers import PER_RECEIVER, patch_network
 
 
@@ -38,14 +37,12 @@ def _pending_trains(sim):
     ]
 
 
-def _hello_mesh(vehicles=100, seed=21, length=3000.0, trace=True):
+def _hello_mesh(vehicles=100, seed=21, length=3000.0):
     """Vehicles beaconing AODV Hellos every second, all at the same
     instants, each receiving from dozens of neighbours."""
     packets_module._packet_ids = itertools.count(1)
     sim = Simulator(seed=seed)
     net = Network(sim, ChannelConfig())
-    if trace:
-        sim.obs.enable_trace()
     placement = sim.rng("placement")
     for index in range(vehicles):
         node = Node(
@@ -59,38 +56,6 @@ def _hello_mesh(vehicles=100, seed=21, length=3000.0, trace=True):
     return types.SimpleNamespace(sim=sim, net=net)
 
 
-def _fingerprint(world):
-    sim, queue = world.sim, world.sim.queue
-    return (
-        "\n".join(event.to_json() for event in sim.obs.trace.events),
-        sim.events_executed,
-        world.net.stats.delivered,
-        len(queue),
-        queue.high_water,
-        queue.stored,
-        sim.streams.getstate(),
-    )
-
-
-def test_snapshot_mid_train_restores_byte_identical():
-    world = _hello_mesh()
-    # 2.1 ms after a beacon instant: inside every beacon's delivery
-    # window (per-hop delay 2 ms + up to 0.5 ms jitter)
-    world.sim.run(until=3.0021)
-    in_flight = _pending_trains(world.sim)
-    assert len(in_flight) > 50
-    assert world.sim.queue._deferred > 0
-    blob = snapshot(world, compress=False)
-
-    world.sim.run(until=6.0)
-    straight = _fingerprint(world)
-
-    restored = restore(blob)
-    assert len(_pending_trains(restored.sim)) == len(in_flight)
-    restored.sim.run(until=6.0)
-    assert _fingerprint(restored) == straight
-
-
 #: Allowed heap growth over 8 steady-state seconds of the Hello mesh
 #: below.  The mesh makes about 800 broadcasts and 7000 deliveries in
 #: that span, so retaining even one small object per broadcast exceeds
@@ -101,7 +66,7 @@ FLAT_MEMORY_BOUND = 16 * 1024
 def test_steady_hello_mesh_memory_stays_flat():
     """Once every route and cache is warm, delivering more beacons must
     not grow the heap: events, trains and packets are all freed."""
-    world = _hello_mesh(seed=42, length=10_000.0, trace=False)
+    world = _hello_mesh(seed=42, length=10_000.0)
     tracemalloc.start()
     try:
         world.sim.run(until=4.0)

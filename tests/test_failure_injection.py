@@ -1,13 +1,10 @@
 """Failure-injection tests: lossy channels, backbone partitions, and
 protocol-confusing suspects."""
 
-import pytest
-
-from repro.core import BlackDpConfig, DetectionRequest
+from repro.core import BlackDpConfig
 from repro.core.packets import VERDICT_FLED, VERDICT_INCONCLUSIVE
 from repro.net import ChannelConfig, Node
 from repro.routing import RouteReply, RouteRequest
-from repro.sim import Simulator
 
 from tests.helpers_blackdp import build_world
 from tests.test_core_detection import report_suspect

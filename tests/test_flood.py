@@ -16,7 +16,7 @@ from repro.experiments.flood import (
     run_flood_sweep,
 )
 from repro.experiments.scenario_file import ScenarioError, parse_scenario
-from repro.experiments.trial import begin_trial, run_trial
+from repro.experiments.trial import run_trial
 from repro.experiments.executor import summarize_trial
 from repro.sketch import VERDICT_FLOODER, SketchConfig
 
@@ -104,20 +104,6 @@ def test_multiple_flooders_all_convicted():
     convicted_attackers = result.convicted_addresses & result.attacker_addresses
     assert len(convicted_attackers) >= 2
     assert not result.false_positive
-
-
-def test_flood_session_is_picklable_mid_run():
-    """A flood trial with monitors installed snapshots and resumes to
-    the same verdict as a straight run (plain-data sketch state)."""
-    from repro.experiments.trial import TrialSession
-
-    config = flood_trial_config(seed=21, variant="constant", vehicles=30)
-    straight = run_trial(config)
-    session = begin_trial(config)
-    session.run_to(3.0)
-    resumed = TrialSession.restore(session.snapshot()).finish()
-    assert resumed.convicted_addresses == straight.convicted_addresses
-    assert resumed.attacker_addresses == straight.attacker_addresses
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 RSU compute model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.metrics import wilson_interval

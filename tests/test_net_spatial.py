@@ -452,21 +452,6 @@ def test_neighbourhood_entry_is_filed_on_the_second_query_of_an_epoch():
     assert (spatial.hood_builds, spatial.hood_hits) == (2, 4)
 
 
-def test_snapshot_drops_cached_neighbourhoods():
-    import pickle
-
-    sim, net = make_net()
-    a = Node(sim, "a", position=(0.0, 0.0))
-    net.attach(a)
-    net.attach(Node(sim, "b", position=(500.0, 0.0)))
-    net.neighbors(a)
-    net.neighbors(a)
-    assert net.spatial._hoods
-    restored = pickle.loads(pickle.dumps(net))
-    assert restored.spatial._hoods == {}
-    assert [n.node_id for n in restored.neighbors(restored.nodes[0])] == ["b"]
-
-
 def test_epoch_expiry_triggers_rebuild_and_counters():
     # The only moving node, at the paper's top speed of 90 km/h, sets
     # the window: 50 m of guard band last 2 s.

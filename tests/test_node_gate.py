@@ -1,10 +1,11 @@
 """``Node.gate``: the admission predicate every delivery path consults.
 
 BlackDP's route verifier installs its blacklist as a vehicle's gate
-(``repro.core.verifier._BlacklistGate``), so a revoked pseudonym cannot
-even serve as a relay.  On each of the medium's delivery paths a packet
-the gate rejects must reach no handler, count in ``packets_gated`` and
-leave ``packets_received`` alone:
+(``repro.core.verifier.install_verifier``), so a revoked pseudonym
+cannot even serve as a relay.  On each of the medium's delivery paths a
+packet the gate rejects must reach no handler, count in
+``packets_gated`` and leave ``packets_received`` alone, whether the gate
+is a plain predicate or the verifier's blacklist:
 
 - ``batch``: a broadcast whose receivers share one arrival time (the
   dark loop of ``Network._arrive_batch``);
@@ -15,10 +16,16 @@ leave ``packets_received`` alone:
   delivers through ``Node.on_receive``.
 """
 
+import random
+
 import pytest
 
+from repro.core.verifier import install_verifier
+from repro.crypto.keys import generate_keypair
+from repro.mobility import Highway, VehicleMotion
 from repro.net import BROADCAST, ChannelConfig, Network, Node, Packet
 from repro.sim import Simulator
+from repro.vehicles import VehicleNode
 
 PATHS = ["batch", "train", "unicast", "traced", "metrics"]
 
@@ -27,7 +34,7 @@ class Ping(Packet):
     pass
 
 
-def _world(path):
+def _world(path, gated_vehicle=False):
     sim = Simulator(seed=3)
     # Jitter spreads a broadcast's receivers over several arrival times,
     # so only the train path keeps it.
@@ -38,7 +45,11 @@ def _world(path):
         sim.obs.enable_metrics()
     nodes = []
     for name, x in (("sender", 0.0), ("gated", 100.0), ("open", 200.0)):
-        node = Node(sim, name, position=(x, 0.0))
+        if name == "gated" and gated_vehicle:
+            motion = VehicleMotion(entry_time=0.0, entry_x=x, speed=0.0)
+            node = VehicleNode(sim, Highway(), name, motion)
+        else:
+            node = Node(sim, name, position=(x, 0.0))
         net.attach(node)
         nodes.append(node)
     got = {"gated": [], "open": []}
@@ -56,14 +67,30 @@ def _send(sim, sender, path):
     sim.run()
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_rejected_packet_reaches_no_handler(path):
-    sim, (sender, gated, open_), got = _world(path)
+#: each path once with a plain predicate, and once with the blacklist
+#: gate ``install_verifier`` puts on a vehicle
+GATES = [pytest.param(path, False, id=path) for path in PATHS] + [
+    pytest.param(path, True, id=f"{path}-verifier") for path in PATHS
+]
+
+
+def _not_from_sender(packet, sender_address):
+    return sender_address != "sender"
+
+
+@pytest.mark.parametrize("path,verifier", GATES)
+def test_rejected_packet_reaches_no_handler(path, verifier):
+    sim, (sender, gated, open_), got = _world(path, gated_vehicle=verifier)
+    decide = _not_from_sender
+    if verifier:
+        install_verifier(gated, generate_keypair(random.Random(3)).public)
+        gated.blacklist.add("sender")
+        decide = gated.gate
     verdicts = []
 
     def refuse_sender(packet, sender_address):
         verdicts.append((type(packet), sender_address))
-        return sender_address != "sender"
+        return decide(packet, sender_address)
 
     gated.gate = refuse_sender
     _send(sim, sender, path)

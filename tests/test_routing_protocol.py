@@ -5,9 +5,8 @@ import random
 import pytest
 
 from repro.crypto import TrustedAuthorityNetwork, verify
-from repro.net import ChannelConfig, Network, Node
-from repro.routing import AodvConfig, AodvProtocol, RouteReply
-from repro.sim import Simulator
+from repro.net import ChannelConfig
+from repro.routing import AodvConfig, RouteReply
 
 from tests.helpers import build_chain, run_discovery
 

@@ -1,9 +1,6 @@
 """Tests for gratuitous RREPs and AODV local repair."""
 
-import pytest
-
 from repro.routing import AodvConfig
-from repro.sim import Simulator
 
 from tests.helpers import build_chain, run_discovery
 

@@ -1,6 +1,5 @@
 """Tests for AODV routing-table semantics."""
 
-import pickle
 import tracemalloc
 
 from hypothesis import given
@@ -117,18 +116,6 @@ def test_fresh_entries_share_one_empty_precursor_set():
     t.add_precursor("d1", "p")
     assert t.get("d1").precursors == {"p"}
     assert not t.get("d2").precursors  # the shared empty set is untouched
-
-
-def test_add_precursor_after_a_pickle_round_trip():
-    # A snapshot restore unpickles a fresh empty frozenset, not the
-    # module's shared one: the first precursor must still go in.
-    t = RoutingTable()
-    t.consider("d", next_hop="a", hop_count=1, destination_seq=1, expires_at=9.0, now=0.0)
-    restored = pickle.loads(pickle.dumps(t))
-    restored.add_precursor("d", "p1")
-    restored.add_precursor("d", "p2")
-    assert restored.get("d").precursors == {"p1", "p2"}
-    assert not t.get("d").precursors
 
 
 def test_route_entry_memory_budget():

@@ -1,9 +1,5 @@
 """Tests for vehicle identity, pseudonym renewal and AODV integration."""
 
-import random
-
-import pytest
-
 from repro.clusters import build_rsu_chain
 from repro.crypto import TrustedAuthorityNetwork
 from repro.mobility import Highway, VehicleMotion
