@@ -17,7 +17,7 @@ the pairing on four axes:
 
 The sweep runs through the resumable campaign ledger
 (:mod:`repro.experiments.campaign`), so a killed matrix continues where
-it stopped and a finished one re-renders from the journal for free.
+it stopped and a finished one re-renders from its result cache for free.
 Seeds derive from :func:`repro.experiments.config.point_seed` with a
 composite ``attack|detector`` point label, so every cell draws a
 decorrelated seed range and the same ``--base-seed`` always reproduces
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.arena.base import ArenaConfig
-from repro.experiments.campaign import DEFAULT_BATCH, Campaign
+from repro.experiments.campaign import Campaign
 from repro.experiments.config import TableIConfig, TrialConfig, point_seed
 from repro.net import ChannelConfig
 from repro.obs import DETECTION_KINDS
@@ -299,15 +299,13 @@ def run_matrix(
     attacker_cluster: int = 5,
     num_vehicles: int | None = None,
     jobs: int = 1,
-    batch: int = DEFAULT_BATCH,
-    progress=None,
     stream=None,
 ) -> tuple[Campaign, list[ArenaCell]]:
     """Create-or-resume the matrix campaign in ``directory`` and run it.
 
     An existing ledger is resumed (its spec wins — the arguments only
-    shape a *new* campaign); the completed journal is aggregated into
-    scored cells.
+    shape a *new* campaign); the cached unit summaries are aggregated
+    into scored cells.
     """
     directory = Path(directory)
     if (directory / "manifest.json").exists():
@@ -325,6 +323,6 @@ def run_matrix(
                 num_vehicles=num_vehicles,
             ),
         )
-    campaign.run(jobs=jobs, batch=batch, progress=progress, stream=stream)
+    campaign.run(jobs=jobs, stream=stream)
     cells = aggregate_matrix(campaign.manifest["spec"], campaign.results())
     return campaign, cells

@@ -279,10 +279,6 @@ def _cmd_trial(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_progress(status) -> None:
-    print(f"  {status.completed}/{status.total} units journaled", flush=True)
-
-
 def _finish_campaign(campaign, args: argparse.Namespace) -> int:
     watch = getattr(args, "watch", False)
     port = getattr(args, "serve_metrics", None)
@@ -297,7 +293,7 @@ def _finish_campaign(campaign, args: argparse.Namespace) -> int:
             from repro.experiments.progress import progress_line
 
             def _render(event) -> None:
-                if event.kind in ("unit-done", "batch", "campaign-done"):
+                if event.kind in ("unit-done", "campaign-done"):
                     print(f"\r{progress_line(stream.status_dict())}   ",
                           end="", flush=True)
 
@@ -311,12 +307,7 @@ def _finish_campaign(campaign, args: argparse.Namespace) -> int:
             print(f"serving {server.url}/metrics while the campaign runs",
                   flush=True)
     try:
-        status = campaign.run(
-            jobs=args.jobs,
-            batch=args.batch,
-            progress=None if watch else _campaign_progress,
-            stream=stream,
-        )
+        status = campaign.run(jobs=args.jobs, stream=stream)
     finally:
         if watch:
             print()
@@ -394,8 +385,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
                 attacker_cluster=args.cluster,
                 num_vehicles=num_vehicles,
                 jobs=args.jobs,
-                batch=args.batch,
-                progress=_campaign_progress,
             )
         except CampaignError as error:
             print(f"arena campaign failed: {error}", file=sys.stderr)
@@ -577,7 +566,6 @@ def main(argv: list[str] | None = None) -> int:
         "--csv", metavar="PATH", default=None, help="write per-cell CSV"
     )
     arena.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
-    arena.add_argument("--batch", type=_positive_int, default=50, metavar="N")
     arena.set_defaults(func=_cmd_arena)
     campaign = sub.add_parser(
         "campaign", help="resumable sweeps with an on-disk run ledger"
@@ -592,14 +580,12 @@ def main(argv: list[str] | None = None) -> int:
     campaign_run.add_argument("--attacks", default="single,cooperative")
     campaign_run.add_argument("--base-seed", type=int, default=1000)
     campaign_run.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
-    campaign_run.add_argument("--batch", type=_positive_int, default=50, metavar="N")
     campaign_run.set_defaults(func=_cmd_campaign_run)
     campaign_resume = campaign_sub.add_parser(
         "resume", help="continue an interrupted campaign without recomputing"
     )
     campaign_resume.add_argument("--dir", required=True, metavar="DIR")
     campaign_resume.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
-    campaign_resume.add_argument("--batch", type=_positive_int, default=50, metavar="N")
     campaign_resume.set_defaults(func=_cmd_campaign_resume)
     for streaming in (campaign_run, campaign_resume):
         streaming.add_argument(
@@ -611,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
             help="serve a live OpenMetrics endpoint while the campaign runs",
         )
     campaign_status = campaign_sub.add_parser(
-        "status", help="report journaled progress of a campaign directory"
+        "status", help="report how many units of a campaign directory are cached"
     )
     campaign_status.add_argument("--dir", required=True, metavar="DIR")
     campaign_status.add_argument(

@@ -7,32 +7,27 @@ ledger lives in one directory:
 
 ``manifest.json``
     Written once at creation (atomically): schema, name, the *spec*
-    that re-enumerates the work units, the unit count, and a digest of
-    every unit's cache key.  Resume refuses a manifest whose keys no
-    longer match the configs the spec expands to — that means the
-    simulation code or config encoding changed, and silently mixing old
-    and new results would corrupt the sweep.
-
-``journal.jsonl``
-    One line per *completed* unit, appended as a single ``O_APPEND``
-    write (see :func:`~repro.experiments.executor.append_jsonl_line`),
-    so a kill can at worst truncate the final line — which the loader
-    skips and the re-run repairs.  The journal is the source of truth
-    for "what is done".
-
-``checkpoint.json``
-    Small progress summary replaced atomically after every batch; it is
-    advisory (``status`` reads it for cheap display) — correctness never
-    depends on it.
+    that re-enumerates the work units, the unit count, and every unit's
+    cache key.  Resume refuses a manifest whose keys no longer match
+    the configs the spec expands to — that means the simulation code or
+    config encoding changed, and silently mixing old and new results
+    would corrupt the sweep.
 
 ``cache/``
-    A standard :class:`~repro.experiments.executor.ResultCache`.  The
-    journal resumes at *unit* granularity; the cache additionally
-    catches units that finished inside an interrupted batch.
+    A standard :class:`~repro.experiments.executor.ResultCache`, the
+    source of truth for "what is done": a unit is complete when its
+    manifest key is cached.  The executor appends each summary as one
+    ``O_APPEND`` write the moment the unit returns, so a kill can at
+    worst truncate the final line — which the loader skips and the
+    re-run repairs.
+
+``events.jsonl``
+    The optional streamed progress feed (see
+    :meth:`Campaign.make_aggregator`).
 
 Interrupts drain rather than discard: the executor harvests in-flight
-chunks (workers ignore SIGINT), the campaign journals them and writes a
-checkpoint, and only then does the interrupt continue unwinding.
+chunks (workers ignore SIGINT) and caches them before the interrupt
+continues unwinding.
 """
 
 from __future__ import annotations
@@ -42,26 +37,19 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.experiments.config import TrialConfig
 from repro.experiments.executor import (
+    ResultCache,
     TrialExecutor,
-    TrialRunInterrupted,
     TrialSummary,
-    append_jsonl_line,
     trial_cache_key,
 )
 from repro.experiments.progress import ProgressAggregator, ProgressEvent
 
-#: Bump when the manifest/journal shape changes incompatibly; stale
-#: ledgers are then rejected instead of misread.
+#: Bump when the manifest shape changes incompatibly; stale ledgers are
+#: then rejected instead of misread.
 CAMPAIGN_SCHEMA = 1
-
-#: Units journaled per checkpoint by default.  Small enough that a kill
-#: loses at most a few minutes of serial work; large enough that ledger
-#: I/O stays invisible next to the trials themselves.
-DEFAULT_BATCH = 50
 
 
 class CampaignError(RuntimeError):
@@ -69,31 +57,8 @@ class CampaignError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Spec registry: how a manifest re-enumerates its work units
+# Spec kinds: how a manifest re-enumerates its work units
 # ----------------------------------------------------------------------
-#: kind -> expander(spec dict) -> list[TrialConfig].  Module-level so
-#: manifests stay plain data; registering a kind makes it resumable.
-_SPEC_KINDS: dict[str, Callable[[dict], list[TrialConfig]]] = {}
-
-
-def register_spec_kind(
-    kind: str, expand: Callable[[dict], list[TrialConfig]]
-) -> None:
-    """Register an expander turning a manifest spec into work units."""
-    _SPEC_KINDS[kind] = expand
-
-
-def expand_spec(spec: dict) -> list[TrialConfig]:
-    kind = spec.get("kind")
-    expand = _SPEC_KINDS.get(kind)
-    if expand is None:
-        raise CampaignError(
-            f"unknown campaign spec kind {kind!r} "
-            f"(known: {sorted(_SPEC_KINDS)})"
-        )
-    return expand(spec)
-
-
 def _expand_figure4(spec: dict) -> list[TrialConfig]:
     from repro.experiments.figure4 import figure4_configs
 
@@ -105,16 +70,26 @@ def _expand_figure4(spec: dict) -> list[TrialConfig]:
     )
 
 
-register_spec_kind("figure4", _expand_figure4)
-
-
 def _expand_arena(spec: dict) -> list[TrialConfig]:
     from repro.arena.matrix import expand_arena_spec
 
     return expand_arena_spec(spec)
 
 
-register_spec_kind("arena", _expand_arena)
+#: kind -> expander(spec dict) -> list[TrialConfig]; manifests stay
+#: plain data and name their kind.
+_SPEC_KINDS = {"figure4": _expand_figure4, "arena": _expand_arena}
+
+
+def expand_spec(spec: dict) -> list[TrialConfig]:
+    kind = spec.get("kind")
+    expand = _SPEC_KINDS.get(kind)
+    if expand is None:
+        raise CampaignError(
+            f"unknown campaign spec kind {kind!r} "
+            f"(known: {sorted(_SPEC_KINDS)})"
+        )
+    return expand(spec)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +141,7 @@ class CampaignStatus:
         ]
         if self.corrupt_lines:
             parts.append(
-                f"  {self.corrupt_lines} corrupt journal lines skipped "
+                f"  {self.corrupt_lines} corrupt cache lines skipped "
                 "(will be recomputed)"
             )
         return "\n".join(parts)
@@ -181,10 +156,7 @@ class Campaign:
         self.directory = Path(directory)
         self.manifest = manifest
         self.configs = configs
-        self.corrupt_lines = 0
-        #: unit index -> journaled summary
-        self.completed: dict[int, TrialSummary] = {}
-        self._load_journal()
+        self.cache = ResultCache(self.cache_dir)
 
     # ------------------------------------------------------------------
     # Construction
@@ -193,7 +165,7 @@ class Campaign:
     def create(
         cls, directory: str | Path, *, name: str, spec: dict
     ) -> "Campaign":
-        """Initialise a new ledger directory from a registered spec."""
+        """Initialise a new ledger directory from a known spec kind."""
         directory = Path(directory)
         if (directory / "manifest.json").exists():
             raise CampaignError(
@@ -256,60 +228,13 @@ class Campaign:
     def cache_dir(self) -> Path:
         return self.directory / "cache"
 
-    def _journal_path(self) -> Path:
-        return self.directory / "journal.jsonl"
-
-    def _load_journal(self) -> None:
-        path = self._journal_path()
-        if not path.exists():
-            return
-        keys = self.manifest["unit_keys"]
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if record.get("s") != CAMPAIGN_SCHEMA:
-                    continue
-                index = int(record["i"])
-                if not 0 <= index < len(keys) or record["k"] != keys[index]:
-                    continue  # journal from a different unit list
-                self.completed[index] = TrialSummary.from_dict(record["r"])
-            except (ValueError, KeyError, TypeError):
-                self.corrupt_lines += 1  # skipped; the unit reruns
-
-    def _journal_unit(self, index: int, summary: TrialSummary) -> None:
-        if index in self.completed:
-            return
-        self.completed[index] = summary
-        append_jsonl_line(
-            self._journal_path(),
-            {
-                "i": index,
-                "k": self.manifest["unit_keys"][index],
-                "s": CAMPAIGN_SCHEMA,
-                "r": summary.to_dict(),
-            },
-        )
-
-    def _write_checkpoint(self) -> None:
-        _write_atomic(
-            self.directory / "checkpoint.json",
-            {
-                "schema": CAMPAIGN_SCHEMA,
-                "completed": len(self.completed),
-                "total": len(self.configs),
-            },
-        )
-
     def status(self) -> CampaignStatus:
         return CampaignStatus(
             name=self.name,
             directory=str(self.directory),
             total=len(self.configs),
-            completed=len(self.completed),
-            corrupt_lines=self.corrupt_lines,
+            completed=sum(key in self.cache for key in self.manifest["unit_keys"]),
+            corrupt_lines=self.cache.corrupt_lines,
         )
 
     @property
@@ -335,81 +260,52 @@ class Campaign:
 
     def results(self) -> list[TrialSummary]:
         """All summaries in unit order; raises unless complete."""
-        if len(self.completed) < len(self.configs):
+        summaries = [self.cache.get(key) for key in self.manifest["unit_keys"]]
+        missing = sum(summary is None for summary in summaries)
+        if missing:
             raise CampaignError(
                 f"campaign {self.name!r} is incomplete "
-                f"({len(self.completed)}/{len(self.configs)} units)"
+                f"({len(summaries) - missing}/{len(summaries)} units)"
             )
-        return [self.completed[index] for index in range(len(self.configs))]
+        return summaries
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(
-        self,
-        *,
-        jobs: int = 1,
-        batch: int = DEFAULT_BATCH,
-        executor: TrialExecutor | None = None,
-        progress: Callable[[CampaignStatus], None] | None = None,
-        stream: ProgressAggregator | None = None,
+        self, *, jobs: int = 1, stream: ProgressAggregator | None = None
     ) -> CampaignStatus:
-        """Run (or continue) the campaign until every unit is journaled.
+        """Run (or continue) the campaign until every unit is cached.
 
-        Work proceeds in batches of ``batch`` units; each batch is
-        journaled and checkpointed before the next starts, so a kill
-        costs at most one batch minus whatever the cache caught.  A
-        SIGINT journals the drained partial batch, checkpoints, and
-        re-raises as :class:`TrialRunInterrupted`.
+        Every pending unit goes to one
+        :meth:`~repro.experiments.executor.TrialExecutor.run_trials` call
+        that shares this ledger's cache, so each summary is on disk as
+        soon as its unit returns.  A SIGINT drains in-flight work into
+        the cache and re-raises as
+        :class:`~repro.experiments.executor.TrialRunInterrupted`.
 
         ``stream`` (see :meth:`make_aggregator`) turns on live
-        telemetry: when no ``executor`` is supplied the one built here
-        pushes per-unit worker events into it, and the campaign itself
-        marks every journaled batch (and completion) in the feed.
+        telemetry: the executor pushes per-unit worker events into it,
+        and the campaign marks its completion in the feed.
         """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if executor is None:
-            executor = TrialExecutor(
-                jobs=jobs, cache_dir=self.cache_dir, progress=stream
+        executor = TrialExecutor(jobs=jobs, progress=stream)
+        executor.cache = self.cache
+        executor.run_trials(
+            [
+                config
+                for key, config in zip(self.manifest["unit_keys"], self.configs)
+                if key not in self.cache
+            ]
+        )
+        status = self.status()
+        if stream is not None:
+            stream(
+                ProgressEvent(
+                    kind="campaign-done",
+                    worker=os.getpid(),
+                    wall=time.time(),
+                    done=status.completed,
+                    total=status.total,
+                )
             )
-
-        def _mark(kind: str) -> None:
-            if stream is not None:
-                stream(
-                    ProgressEvent(
-                        kind=kind,
-                        worker=os.getpid(),
-                        wall=time.time(),
-                        done=len(self.completed),
-                        total=len(self.configs),
-                    )
-                )
-
-        pending = [
-            (index, config)
-            for index, config in enumerate(self.configs)
-            if index not in self.completed
-        ]
-        for start in range(0, len(pending), batch):
-            slice_ = pending[start : start + batch]
-            try:
-                summaries = executor.run_trials(
-                    [config for _, config in slice_]
-                )
-            except TrialRunInterrupted as interrupt:
-                for (index, _), summary in zip(slice_, interrupt.results):
-                    if summary is not None:
-                        self._journal_unit(index, summary)
-                self._write_checkpoint()
-                _mark("batch")
-                raise
-            for (index, _), summary in zip(slice_, summaries):
-                self._journal_unit(index, summary)
-            self._write_checkpoint()
-            _mark("batch")
-            if progress is not None:
-                progress(self.status())
-        self._write_checkpoint()
-        _mark("campaign-done")
-        return self.status()
+        return status

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.core import DetectionRequest
 from repro.core.processing import RsuProcessor
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.world import build_world
 from repro.metrics import summarize
 
@@ -101,9 +102,7 @@ def run_congestion_sweep(
     ``parallel`` may run the grid in worker processes.
     """
     grid = [(reports, fog, seed) for fog in (False, True) for reports in bursts]
-    if parallel is not None:
-        return parallel.map(_burst_point, grid)
-    return [_burst_point(*cell) for cell in grid]
+    return (parallel or TrialExecutor()).map(_burst_point, grid)
 
 
 def format_congestion(rows: list[CongestionRow]) -> str:

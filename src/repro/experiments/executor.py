@@ -68,9 +68,9 @@ def append_jsonl_line(path: Path, record: dict) -> None:
 
     The line is serialized first and written with one ``os.write`` to an
     ``O_APPEND`` descriptor: POSIX appends position-then-write atomically,
-    so concurrent writers (parallel sweeps sharing a cache directory, a
-    campaign journal plus its executor) interleave at *line* granularity
-    instead of corrupting each other mid-record.
+    so concurrent writers (parallel sweeps sharing a cache directory)
+    interleave at *line* granularity instead of corrupting each other
+    mid-record.
     """
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -85,12 +85,12 @@ class TrialRunInterrupted(KeyboardInterrupt):
 
     Raised by :meth:`TrialExecutor.run_trials` instead of a bare
     ``KeyboardInterrupt``: every summary that finished before (or while
-    draining) the interrupt has been flushed to the result cache, and
-    :attr:`results` carries them in submission order with ``None`` holes
-    for the units that never ran.  Subclassing ``KeyboardInterrupt``
-    keeps the exception out of ``except Exception`` handlers, so it
-    still unwinds like an interrupt unless a driver opts into partial
-    results.
+    draining) the interrupt is already in the result cache (each is
+    stored the moment its unit returns), and :attr:`results` carries
+    them in submission order with ``None`` holes for the units that
+    never ran.  Subclassing ``KeyboardInterrupt`` keeps the exception
+    out of ``except Exception`` handlers, so it still unwinds like an
+    interrupt unless a driver opts into partial results.
     """
 
     def __init__(self, results: list, total: int) -> None:
@@ -283,6 +283,9 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
     def get(self, key: str) -> TrialSummary | None:
         return self._entries.get(key)
 
@@ -399,7 +402,7 @@ def _run_call_chunk(items):
 # ----------------------------------------------------------------------
 @dataclass
 class ExecutorStats:
-    """Accounting for one executor's lifetime (all batches)."""
+    """Accounting for one executor's lifetime (all runs)."""
 
     trials: int = 0
     cache_hits: int = 0
@@ -531,23 +534,20 @@ class TrialExecutor:
                 pending.append((index, config))
                 if self.cache is not None:
                     self.stats.cache_misses += 1
-        collected: list = []
-        try:
-            self._execute(pending, _run_trial_chunk, out=collected)
-        except KeyboardInterrupt:
-            # Flush the chunks that did finish before unwinding, then
-            # surface a partial-result summary instead of a traceback.
-            for index, summary in collected:
-                results[index] = summary
-                if self.cache is not None:
-                    self.cache.put(trial_cache_key(configs[index]), summary)
-            self._account(len(configs), time.perf_counter() - started)
-            raise TrialRunInterrupted(results, total=len(configs)) from None
-        for index, summary in collected:
+
+        def emit(index: int, summary: TrialSummary) -> None:
             results[index] = summary
             if self.cache is not None:
                 self.cache.put(trial_cache_key(configs[index]), summary)
-        self._account(len(configs), time.perf_counter() - started)
+
+        try:
+            self._execute(pending, _run_trial_chunk, emit)
+        except KeyboardInterrupt:
+            # Every finished unit is cached already: surface a
+            # partial-result summary instead of a traceback.
+            raise TrialRunInterrupted(results, total=len(configs)) from None
+        finally:
+            self._account(len(configs), time.perf_counter() - started)
         return results  # type: ignore[return-value]
 
     def map_calls(
@@ -562,8 +562,7 @@ class TrialExecutor:
         started = time.perf_counter()
         items = [(index, fn, args) for index, (fn, args) in enumerate(calls)]
         results: list = [None] * len(calls)
-        for index, value in self._execute(items, _run_call_chunk):
-            results[index] = value
+        self._execute(items, _run_call_chunk, results.__setitem__)
         self._account(len(calls), time.perf_counter() - started)
         return results
 
@@ -575,23 +574,20 @@ class TrialExecutor:
     # Engine
     # ------------------------------------------------------------------
     def _execute(
-        self, items: list, chunk_runner: Callable, out: list | None = None
-    ) -> list:
-        """Run work items, parallel when configured; returns the
-        concatenated per-item results (order handled by callers via the
-        embedded indices).
+        self, items: list, chunk_runner: Callable, emit: Callable
+    ) -> None:
+        """Run work items, parallel when configured, handing each result
+        to ``emit(index, value)`` as soon as its chunk returns (order is
+        restored by the callers via the embedded indices).
 
-        ``out`` may be supplied by the caller: results are appended to
-        it as chunks complete, so work that finished before an interrupt
-        unwound the stack is still visible to the caller's handler.
+        In-process runs go one unit at a time, so the work that finished
+        before an interrupt unwound the stack has already been emitted.
         """
-        if out is None:
-            out = []
         if not items:
-            return out
+            return
         if self.jobs == 1 or len(items) == 1:
-            out.extend(self._run_inline(items, chunk_runner, fallback=False))
-            return out
+            self._run_inline(items, chunk_runner, emit, fallback=False)
+            return
         chunks = self._chunk(items)
         self.stats.chunks += len(chunks)
         pending = chunks
@@ -600,11 +596,10 @@ class TrialExecutor:
                 break
             if attempt > 0:
                 self.stats.chunk_retries += len(pending)
-            pending = self._run_pool(pending, chunk_runner, out)
+            pending = self._run_pool(pending, chunk_runner, emit)
         for chunk in pending:  # exhausted retries: surface errors inline
             self.stats.inline_fallbacks += 1
-            out.extend(self._run_inline(chunk, chunk_runner, fallback=True))
-        return out
+            self._run_inline(chunk, chunk_runner, emit, fallback=True)
 
     def _chunk(self, items: list) -> list[list]:
         size = self.chunk_size
@@ -613,7 +608,7 @@ class TrialExecutor:
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     def _run_pool(
-        self, chunks: list[list], chunk_runner: Callable, out: list
+        self, chunks: list[list], chunk_runner: Callable, emit: Callable
     ) -> list[list]:
         """One pool generation; returns the chunks that failed."""
         # Imported here, not at module load: serial runs never pay for
@@ -634,7 +629,8 @@ class TrialExecutor:
             else:
                 previous = self.stats.worker_busy.get(pid, 0.0)
                 self.stats.worker_busy[pid] = previous + busy
-                out.extend(chunk_out)
+                for index, value in chunk_out:
+                    emit(index, value)
 
         queue, drainer = self._start_progress_drain()
         try:
@@ -707,22 +703,29 @@ class TrialExecutor:
             queue.close()
 
     def _run_inline(
-        self, items: list, chunk_runner: Callable, *, fallback: bool
-    ) -> list:
+        self,
+        items: list,
+        chunk_runner: Callable,
+        emit: Callable,
+        *,
+        fallback: bool,
+    ) -> None:
         global _progress_queue
         saved = _progress_queue
         if self.progress is not None:
             _progress_queue = _InlineProgressChannel(self.progress)
         try:
-            pid, busy, out = chunk_runner(items)
+            for item in items:
+                pid, busy, out = chunk_runner([item])
+                if not fallback:
+                    # In-process runs still feed the utilization ledger so
+                    # ``jobs=1`` stats read sensibly (one worker, ~100% busy).
+                    previous = self.stats.worker_busy.get(pid, 0.0)
+                    self.stats.worker_busy[pid] = previous + busy
+                for index, value in out:
+                    emit(index, value)
         finally:
             _progress_queue = saved
-        if not fallback:
-            # In-process runs still feed the utilization ledger so
-            # ``jobs=1`` stats read sensibly (one worker, ~100% busy).
-            previous = self.stats.worker_busy.get(pid, 0.0)
-            self.stats.worker_busy[pid] = previous + busy
-        return out
 
     # ------------------------------------------------------------------
     # Accounting

@@ -107,7 +107,7 @@ def figure4_configs(
     """The sweep's work units in canonical submission order.
 
     Split out of :func:`run_figure4` so resumable campaigns can
-    enumerate exactly the same units (and so their journals line up
+    enumerate exactly the same units (and so their manifests line up
     index-for-index with a direct run).
     """
     table = table or TableIConfig()

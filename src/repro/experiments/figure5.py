@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.attacks import AttackerPolicy
 from repro.core import BlackDpConfig, DetectionRequest
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.world import World, build_world
 from repro.metrics import summarize
 
@@ -151,12 +152,9 @@ def run_figure5(*, parallel=None) -> list[Figure5Row]:
     :class:`~repro.experiments.executor.TrialExecutor`) fans them out
     with results re-assembled in table order.
     """
-    if parallel is not None:
-        measured = parallel.map(
-            run_figure5_scenario, [(i,) for i in range(len(_SCENARIOS))]
-        )
-    else:
-        measured = [run_figure5_scenario(i) for i in range(len(_SCENARIOS))]
+    measured = (parallel or TrialExecutor()).map(
+        run_figure5_scenario, [(i,) for i in range(len(_SCENARIOS))]
+    )
     rows = []
     for (attack, label, _runner, expected), (packets, verdict) in zip(
         _SCENARIOS, measured

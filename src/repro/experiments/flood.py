@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.attacks.flood import FLOOD_VARIANTS, FloodPolicy
 from repro.experiments.config import ATTACK_FLOOD, TableIConfig, TrialConfig
-from repro.experiments.executor import TrialExecutor, TrialSummary, summarize_trial
-from repro.experiments.trial import run_trial
+from repro.experiments.executor import TrialExecutor, TrialSummary
 from repro.sketch import SketchConfig
 
 #: Default settle window for flood trials (seconds of virtual time).
@@ -90,6 +89,7 @@ def run_flood_sweep(
     for variant in variants:
         if variant not in FLOOD_VARIANTS:
             raise ValueError(f"unknown flood variant {variant!r}")
+    executor = parallel or TrialExecutor()
     result = FloodSweepResult()
     for offset, variant in enumerate(variants):
         configs = [
@@ -102,12 +102,7 @@ def run_flood_sweep(
             )
             for index in range(trials)
         ]
-        if parallel is not None:
-            summaries = parallel.run_trials(configs)
-        else:
-            summaries = [
-                summarize_trial(config, run_trial(config)) for config in configs
-            ]
+        summaries = executor.run_trials(configs)
         result.rows.append(_aggregate(variant, rate, configs, summaries))
     return result
 

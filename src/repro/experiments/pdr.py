@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks import AttackerPolicy, GrayHoleVehicle
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.world import World, build_world
 from repro.mobility import VehicleMotion
 
@@ -215,9 +216,7 @@ def run_pdr(
         cells.append(("blackdp", attack, packets, seed))
     if include_watchdog:
         cells.append(("blackdp+wd", "grayhole-stealth", packets, seed))
-    if parallel is not None:
-        return parallel.map(_pdr_cell, cells)
-    return [_pdr_cell(*cell) for cell in cells]
+    return (parallel or TrialExecutor()).map(_pdr_cell, cells)
 
 
 def format_pdr(rows: list[PdrRow]) -> str:

@@ -1,8 +1,7 @@
 """Streaming campaign/executor progress: heartbeats, ledger feed, live view.
 
-Until now a sweep was a black box between "started" and "done": the only
-feedback was a per-batch line after each journal flush.  This module is
-the streaming layer on top of the
+Without it a sweep is a black box between "started" and "done".  This
+module is the streaming layer on top of the
 :class:`~repro.experiments.executor.TrialExecutor` and
 :class:`~repro.experiments.campaign.Campaign`:
 
@@ -15,7 +14,7 @@ the streaming layer on top of the
   every event to an ``events.jsonl`` feed in the campaign ledger
   directory — the persistent, tail-able play-by-play of a sweep.
 - :func:`load_ledger_view` / :func:`render_top` rebuild a live view of
-  a ledger directory *purely from its files* (manifest, checkpoint,
+  a ledger directory *purely from its files* (manifest, result cache,
   events feed), which is what ``blackdp top`` renders — it works from a
   different process, or long after the run finished.
 
@@ -49,8 +48,7 @@ class ProgressEvent:
     - ``unit-done`` — a unit completed (``elapsed`` seconds of work);
       ``cached`` marks results served from the result cache without
       simulation.
-    - ``batch`` — the campaign journaled a batch (``done``/``total``).
-    - ``campaign-done`` — every unit is journaled.
+    - ``campaign-done`` — every unit is cached (``done``/``total``).
     """
 
     kind: str
@@ -146,7 +144,7 @@ class ProgressAggregator:
             self._recent.append(event.wall or time.time())
             if len(self._recent) > _RATE_WINDOW:
                 del self._recent[: -_RATE_WINDOW]
-        elif event.kind in ("batch", "campaign-done"):
+        elif event.kind == "campaign-done":
             if event.total:
                 self.total = event.total
         if self.events_path is not None:
@@ -217,7 +215,7 @@ class LedgerView:
     directory: str
     name: str = ""
     total: int = 0
-    journaled: int = 0
+    completed: int = 0
     events: int = 0
     done_events: int = 0
     rate: float = 0.0
@@ -227,13 +225,13 @@ class LedgerView:
 
     @property
     def fraction(self) -> float:
-        return self.journaled / self.total if self.total else 0.0
+        return self.completed / self.total if self.total else 0.0
 
     @property
     def eta_seconds(self) -> float | None:
         if self.complete or not self.total or self.rate <= 0:
             return None
-        return (self.total - self.journaled) / self.rate
+        return (self.total - self.completed) / self.rate
 
 
 def _read_progress_events(path: Path) -> Iterable[ProgressEvent]:
@@ -256,17 +254,20 @@ def load_ledger_view(directory: str | Path) -> LedgerView:
     """Rebuild the live view of a campaign ledger from its files alone."""
     directory = Path(directory)
     view = LedgerView(directory=str(directory))
+    keys: list[str] = []
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
         view.name = manifest.get("name", "")
         view.total = int(manifest.get("total_units", 0))
+        keys = manifest.get("unit_keys", [])
     except (OSError, ValueError):
         pass
-    try:
-        checkpoint = json.loads((directory / "checkpoint.json").read_text())
-        view.journaled = int(checkpoint.get("completed", 0))
-    except (OSError, ValueError):
-        pass
+    if keys and (directory / "cache").is_dir():
+        # A unit is done when its manifest key is in the result cache.
+        from repro.experiments.executor import ResultCache
+
+        cache = ResultCache(directory / "cache")
+        view.completed = sum(key in cache for key in keys)
     recent: list[float] = []
     for event in _read_progress_events(directory / "events.jsonl"):
         view.events += 1
@@ -284,15 +285,12 @@ def load_ledger_view(directory: str | Path) -> LedgerView:
             if worker.current_unit == event.unit:
                 worker.current_unit = None
             recent.append(event.wall)
-        elif event.kind == "batch":
-            view.journaled = max(view.journaled, event.done)
         elif event.kind == "campaign-done":
             view.complete = True
-    # The journal is the source of truth for completion; the events feed
+    # The cache is the source of truth for completion; the events feed
     # only streams (a crash may have lost its tail).
-    view.journaled = max(view.journaled, 0)
     view.complete = view.complete or (
-        view.total > 0 and view.journaled >= view.total
+        view.total > 0 and view.completed >= view.total
     )
     recent = recent[-_RATE_WINDOW:]
     if len(recent) >= 2 and recent[-1] > recent[0]:
@@ -322,7 +320,7 @@ def render_top(view: LedgerView, *, now: float | None = None) -> str:
     state = "complete" if view.complete else "running"
     lines = [
         f"campaign {view.name!r} at {view.directory} [{state}]",
-        f"  units    {view.journaled}/{view.total}  "
+        f"  units    {view.completed}/{view.total}  "
         f"[{_bar(view.fraction)}] {view.fraction:6.1%}",
         f"  rate     {view.rate:.2f} units/s (recent)   "
         f"eta {_fmt_eta(view.eta_seconds)}",
@@ -330,7 +328,7 @@ def render_top(view: LedgerView, *, now: float | None = None) -> str:
     ]
     for pid, worker in sorted(view.workers.items()):
         if worker.units == 0 and worker.current_unit is None:
-            continue  # parent process (batch marks), not a trial worker
+            continue  # parent process (campaign marks), not a trial worker
         age = max(0.0, now - worker.last_seen) if worker.last_seen else 0.0
         current = (
             f"unit {worker.current_unit}"

@@ -33,8 +33,7 @@ from repro.attacks.policy import AttackerPolicy
 from repro.core.config import BlackDpConfig
 from repro.experiments.config import ATTACK_TYPES, TableIConfig, TrialConfig
 from repro.sketch import SketchConfig
-from repro.experiments.executor import TrialExecutor, TrialSummary, summarize_trial
-from repro.experiments.trial import run_trial
+from repro.experiments.executor import TrialExecutor, TrialSummary
 from repro.metrics import wilson_interval
 
 _POLICY_PRESETS = {
@@ -219,10 +218,5 @@ def run_scenario(
 ) -> ScenarioOutcome:
     """Execute every trial of a scenario, optionally through an executor."""
     configs = [scenario.trial_config(index) for index in range(scenario.trials)]
-    if parallel is not None:
-        summaries = parallel.run_trials(configs)
-    else:
-        summaries = [
-            summarize_trial(config, run_trial(config)) for config in configs
-        ]
+    summaries = (parallel or TrialExecutor()).run_trials(configs)
     return ScenarioOutcome(scenario, results=summaries)

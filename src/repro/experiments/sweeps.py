@@ -22,6 +22,7 @@ from repro.baselines import (
     StaticThresholdDetector,
 )
 from repro.core import DetectionRequest
+from repro.experiments.executor import TrialExecutor
 from repro.experiments.world import build_world
 from repro.routing.packets import RouteRequest
 
@@ -161,9 +162,9 @@ _COMPARISON_SCENARIOS = (
 def run_baseline_comparison(*, parallel=None) -> list[ComparisonRow]:
     """Four scenarios; returns who detected what.  Each scenario owns a
     seeded world, so ``parallel`` may run them in worker processes."""
-    if parallel is not None:
-        return parallel.map_calls([(fn, ()) for fn in _COMPARISON_SCENARIOS])
-    return [fn() for fn in _COMPARISON_SCENARIOS]
+    return (parallel or TrialExecutor()).map_calls(
+        [(fn, ()) for fn in _COMPARISON_SCENARIOS]
+    )
 
 
 def format_comparison(rows: list[ComparisonRow]) -> str:
@@ -383,11 +384,9 @@ def run_overhead_sweep(
     other traffic (joins, floods, beacons) in the same window.  Density
     points are independent seeded worlds, so ``parallel`` fans them out.
     """
-    if parallel is not None:
-        return parallel.map(
-            _overhead_point, [(count, seed) for count in densities]
-        )
-    return [_overhead_point(count, seed) for count in densities]
+    return (parallel or TrialExecutor()).map(
+        _overhead_point, [(count, seed) for count in densities]
+    )
 
 
 def format_overhead(rows: list[OverheadRow]) -> str:

@@ -20,6 +20,7 @@ from repro.clusters.rsu import RsuNode
 from repro.core import BlackDpConfig, install_detection, install_verifier
 from repro.core.accounting import DetectionRecord
 from repro.crypto import TrustedAuthorityNetwork
+from repro.experiments.executor import TrialExecutor
 from repro.mobility.urban import ManhattanMotion, UrbanGrid
 from repro.net import Network
 from repro.sim import Simulator
@@ -220,9 +221,7 @@ def run_urban_density_sweep(
     seeded worlds; ``parallel`` fans them out in ``spacings`` order.
     """
     points = [(spacing, seed) for spacing in spacings]
-    if parallel is not None:
-        return parallel.map(_density_point, points)
-    return [_density_point(*point) for point in points]
+    return (parallel or TrialExecutor()).map(_density_point, points)
 
 
 def _run_trial_in(

@@ -408,11 +408,6 @@ class TimeSeriesRecorder:
                 lines.append(f"{quoted},{time!r},{value!r}")
         return "\n".join(lines)
 
-    def write_csv(self, path: str | Path) -> Path:
-        target = Path(path)
-        target.write_text(self.dumps_csv() + "\n")
-        return target
-
     @staticmethod
     def read_jsonl(source: str | Path) -> dict[str, list[tuple[float, float]]]:
         """Parse a JSONL export back into ``{name: [(t, value), ...]}``."""

@@ -345,7 +345,7 @@ def test_matrix_deterministic_and_resumable(tmp_path):
     _, first = run_matrix(tmp_path / "a", **kwargs)
     _, second = run_matrix(tmp_path / "b", **kwargs)
     assert arena_csv(first) == arena_csv(second)
-    # Resuming a complete ledger re-renders from the journal for free.
+    # Resuming a complete ledger re-renders from its cache for free.
     _, resumed = run_matrix(tmp_path / "a", **kwargs)
     assert resumed == first
     [cell] = first

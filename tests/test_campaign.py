@@ -10,11 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.campaign import (
-    CAMPAIGN_SCHEMA,
-    Campaign,
-    CampaignError,
-)
+from repro.experiments.campaign import Campaign, CampaignError
 from repro.experiments.executor import (
     ResultCache,
     TrialExecutor,
@@ -38,16 +34,16 @@ def test_create_run_status_results(tmp_path):
     assert campaign.status().total == 4
     assert not campaign.status().done
 
-    status = campaign.run(batch=3)
+    status = campaign.run()
     assert status.done
-    assert (tmp_path / "c" / "journal.jsonl").exists()
-    assert json.loads((tmp_path / "c" / "checkpoint.json").read_text()) == {
-        "schema": CAMPAIGN_SCHEMA,
-        "completed": 4,
-        "total": 4,
-    }
+    assert len(ResultCache(tmp_path / "c" / "cache")) == 4
+    # The ledger is the manifest plus the result cache, nothing else.
+    assert sorted(path.name for path in (tmp_path / "c").iterdir()) == [
+        "cache",
+        "manifest.json",
+    ]
 
-    # The journal reproduces the direct sweep exactly.
+    # The cached summaries reproduce the direct sweep exactly.
     rows = figure4_rows(
         campaign.results(), trials=2, attacks=("single",), clusters=(1, 8)
     )
@@ -59,49 +55,55 @@ def test_create_run_status_results(tmp_path):
 
 def test_reopen_skips_completed_units(tmp_path):
     directory = tmp_path / "c"
-    Campaign.create(directory, name="small", spec=SPEC).run(batch=10)
+    Campaign.create(directory, name="small", spec=SPEC).run()
 
     reopened = Campaign.open(directory)
     assert reopened.status().done
 
-    ran = []
-    reopened.run(progress=ran.append)
-    assert ran == []  # nothing left: no batch executed, no progress call
+    seen = []
+    reopened.run(stream=seen.append)
+    # Nothing left: no unit ran or was served, only the completion mark.
+    assert [event.kind for event in seen] == ["campaign-done"]
 
 
-def test_partial_journal_resumes_without_recompute(tmp_path):
+def test_partial_cache_resumes_without_recompute(tmp_path, monkeypatch):
     directory = tmp_path / "c"
     campaign = Campaign.create(directory, name="small", spec=SPEC)
-    campaign.run(batch=10)
+    campaign.run()
 
-    # Keep only the first two journal lines — as if the run was killed.
-    journal = directory / "journal.jsonl"
-    lines = journal.read_text().splitlines()
-    journal.write_text("\n".join(lines[:2]) + "\n")
+    # Keep only two cached lines — as if the run was killed.
+    lines = []
+    for shard in sorted((directory / "cache").glob("trials-*.jsonl")):
+        lines.extend(shard.read_text().splitlines())
+        shard.unlink()
+    (directory / "cache" / "trials-0.jsonl").write_text(
+        "\n".join(lines[:2]) + "\n"
+    )
 
     resumed = Campaign.open(directory)
     assert resumed.status().completed == 2
 
-    class CountingExecutor(TrialExecutor):
-        def run_trials(self, configs):
-            counted.extend(configs)
-            return super().run_trials(configs)
-
     counted: list = []
-    executor = CountingExecutor(jobs=1)
-    status = resumed.run(executor=executor)
+    run_trials = TrialExecutor.run_trials
+
+    def counting(self, configs):
+        counted.extend(configs)
+        return run_trials(self, configs)
+
+    monkeypatch.setattr(TrialExecutor, "run_trials", counting)
+    status = resumed.run()
     assert status.done
     assert len(counted) == 2  # only the truncated-away units re-ran
 
 
-def test_truncated_journal_line_is_skipped_not_fatal(tmp_path):
+def test_truncated_cache_line_is_skipped_not_fatal(tmp_path):
     directory = tmp_path / "c"
-    Campaign.create(directory, name="small", spec=SPEC).run(batch=10)
-    with (directory / "journal.jsonl").open("a") as sink:
-        sink.write('{"i": 0, "k": "tru')  # killed mid-append
+    Campaign.create(directory, name="small", spec=SPEC).run()
+    with (directory / "cache" / "trials-0.jsonl").open("a") as sink:
+        sink.write('{"k": "tru')  # killed mid-append
 
     reopened = Campaign.open(directory)
-    assert reopened.corrupt_lines == 1
+    assert reopened.status().corrupt_lines == 1
     assert reopened.status().done  # the four valid lines still count
 
 
@@ -178,7 +180,7 @@ def test_trial_run_interrupted_carries_partials():
 )
 def test_cli_campaign_sigint_then_resume(tmp_path):
     """Kill ``blackdp campaign run`` mid-flight; ``campaign resume``
-    finishes from the journal without recomputing journaled units."""
+    finishes from the ledger's cache without recomputing cached units."""
     directory = tmp_path / "camp"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(
@@ -188,17 +190,17 @@ def test_cli_campaign_sigint_then_resume(tmp_path):
         [
             sys.executable, "-m", "repro.experiments", "campaign", "run",
             "--dir", str(directory), "--trials", "4", "--attacks", "single",
-            "--batch", "4", "--jobs", "1",
+            "--jobs", "1",
         ],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    # Wait for the first checkpoint, then interrupt.
-    checkpoint = directory / "checkpoint.json"
+    # Wait for the first cached unit, then interrupt.
+    cache = directory / "cache"
     for _ in range(600):
-        if checkpoint.exists() or run.poll() is not None:
+        if any(cache.glob("trials-*.jsonl")) or run.poll() is not None:
             break
         import time
 
@@ -211,13 +213,13 @@ def test_cli_campaign_sigint_then_resume(tmp_path):
     assert run.returncode == 130, output
     assert "interrupted" in output
 
-    journaled = Campaign.open(directory).status().completed
-    assert 0 < journaled < 40
+    completed = Campaign.open(directory).status().completed
+    assert 0 < completed < 40
 
     resume = subprocess.run(
         [
             sys.executable, "-m", "repro.experiments", "campaign", "resume",
-            "--dir", str(directory), "--batch", "10", "--jobs", "1",
+            "--dir", str(directory), "--jobs", "1",
         ],
         env=env,
         capture_output=True,
@@ -225,5 +227,5 @@ def test_cli_campaign_sigint_then_resume(tmp_path):
         timeout=600,
     )
     assert resume.returncode == 0, resume.stdout + resume.stderr
-    assert f"resuming: {journaled}/40" in resume.stdout
+    assert f"resuming: {completed}/40" in resume.stdout
     assert Campaign.open(directory).status().done

@@ -12,11 +12,12 @@ from repro.experiments.executor import (
     CACHE_SCHEMA,
     ResultCache,
     TrialExecutor,
+    TrialRunInterrupted,
     TrialSummary,
     summarize_trial,
     trial_cache_key,
 )
-from repro.experiments.figure4 import accumulate_point, run_figure4
+from repro.experiments.figure4 import accumulate_point, figure4_configs, run_figure4
 from repro.experiments.trial import run_trial
 from repro.obs import MetricsRegistry
 
@@ -207,6 +208,33 @@ def test_deterministic_exception_surfaces_from_fallback():
     executor = TrialExecutor(jobs=2, chunk_size=1, retries=0)
     with pytest.raises(ValueError, match="deterministic failure"):
         executor.map(_raise_always, [(1,)] * 2)
+
+
+def test_in_process_interrupt_keeps_the_finished_units(tmp_path, monkeypatch):
+    """Ctrl-C on the third of four in-process units: the two that
+    finished are in the result cache and in the interrupt's partials."""
+    import repro.experiments.trial as trial_module
+
+    configs = figure4_configs(
+        trials=2, attacks=("single",), clusters=(1, 8), base_seed=77
+    )
+    calls = []
+
+    def interrupting(config):
+        calls.append(config)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_trial(config)
+
+    monkeypatch.setattr(trial_module, "run_trial", interrupting)
+    executor = TrialExecutor(jobs=1, cache_dir=tmp_path)
+    with pytest.raises(TrialRunInterrupted) as interrupt:
+        executor.run_trials(configs)
+    assert interrupt.value.completed == 2
+    assert len(ResultCache(tmp_path)) == 2
+    assert interrupt.value.results[:2] == [
+        summarize_trial(config, run_trial(config)) for config in configs[:2]
+    ]
 
 
 def test_executor_rejects_bad_parameters():

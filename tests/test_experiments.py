@@ -197,11 +197,10 @@ def test_cli_rejects_unknown_attack(capsys):
         ["figure5", "--cache-dir", "unused-cache", "--jobs", "0"],
         ["report", "--out", "unused-report", "--trials", "0"],
         ["arena", "--smoke", "--jobs", "0"],
-        ["arena", "--smoke", "--batch", "0"],
         ["arena", "--smoke", "--vehicles", "0"],
         ["arena", "--trials", "-1"],
         ["campaign", "run", "--dir", "unused-ledger", "--trials", "0"],
-        ["campaign", "resume", "--dir", "unused-ledger", "--batch", "0"],
+        ["campaign", "resume", "--dir", "unused-ledger", "--jobs", "0"],
         ["flood", "--trials", "0"],
         ["flood", "--vehicles", "0"],
         ["flood", "--flooders", "0"],

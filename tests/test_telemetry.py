@@ -413,20 +413,19 @@ def test_campaign_streams_events_and_top_renders(tmp_path):
     ledger = tmp_path / "ledger"
     campaign = _tiny_campaign(ledger)
     stream = campaign.make_aggregator()
-    status = campaign.run(jobs=1, batch=1, stream=stream)
+    status = campaign.run(jobs=1, stream=stream)
     assert status.done
     kinds = [
         json.loads(line)["kind"]
         for line in campaign.events_path.read_text().splitlines()
     ]
     assert kinds.count("unit-done") == 2
-    assert kinds.count("batch") == 2
     assert kinds[-1] == "campaign-done"
 
     view = load_ledger_view(ledger)
     assert view.name == "tiny"
     assert view.complete
-    assert view.journaled == view.total == 2
+    assert view.completed == view.total == 2
     assert view.done_events == 2
     screen = render_top(view, now=view.last.wall)
     assert "campaign 'tiny'" in screen
